@@ -9,6 +9,8 @@ package sddict_test
 import (
 	"bytes"
 	"context"
+	"io"
+	"reflect"
 	"runtime"
 	"strconv"
 	"sync/atomic"
@@ -79,6 +81,73 @@ func TestBuildSameDiffWorkersIdentical(t *testing.T) {
 			o.Workers = workers
 			d, st := core.BuildSameDiff(pr.Matrix, o)
 			assertSameBuild(t, prof.name+"/workers="+itoa(workers), dRef, d, stRef, st)
+		}
+	}
+}
+
+// TestBuildSameDiffMultiWorkersIdentical pins the two-baseline build the
+// way TestBuildSameDiffWorkersIdentical pins the one-baseline build: both
+// baseline slots, every BuildStats field and the metrics snapshot must be
+// identical at every worker count, with an Observer attached or not.
+// Golden (IndistFinal, CandidateEvals, Restarts) triples guard against a
+// change that shifts every worker count together; s27 runs ten restarts,
+// so its triple exercises the restart fold and the CALLS_1 stop rule.
+func TestBuildSameDiffMultiWorkersIdentical(t *testing.T) {
+	golden := map[string]struct {
+		indistFinal, candEvals int64
+		restarts               int
+	}{
+		"s27":  {indistFinal: 7, candEvals: 1480, restarts: 10},
+		"s208": {indistFinal: 80, candEvals: 13311, restarts: 1},
+	}
+	for _, prof := range detProfiles {
+		pr := prepareDet(t, prof.name, prof.tt)
+		opt := core.DefaultOptions
+		opt.Seed = 1
+		opt.Calls1 = 8
+		opt.MaxRestarts = 40
+
+		opt.Workers = 1
+		dRef, stRef := core.BuildSameDiffMulti(pr.Matrix, opt)
+		if g, ok := golden[prof.name]; ok {
+			if stRef.IndistFinal != g.indistFinal || stRef.CandidateEvals != g.candEvals || stRef.Restarts != g.restarts {
+				t.Fatalf("%s: (IndistFinal, CandidateEvals, Restarts) = (%d, %d, %d), golden (%d, %d, %d)",
+					prof.name, stRef.IndistFinal, stRef.CandidateEvals, stRef.Restarts,
+					g.indistFinal, g.candEvals, g.restarts)
+			}
+		}
+
+		var refSnap *obs.Snapshot
+		for _, workers := range []int{1, 2, 4} {
+			for _, observed := range []bool{false, true} {
+				o := opt
+				o.Workers = workers
+				var m *obs.Metrics
+				if observed {
+					m = obs.NewMetrics()
+					o.Obs = &obs.Observer{Metrics: m, Trace: obs.NewTracer(io.Discard, nil)}
+				}
+				label := prof.name + "/multi workers=" + itoa(workers) + " observed=" + strconv.FormatBool(observed)
+				d, st := core.BuildSameDiffMulti(pr.Matrix, o)
+				assertSameBuild(t, label, dRef, d, stRef, st)
+				for j := range dRef.ExtraBaselines {
+					if d.ExtraBaselines[j] != dRef.ExtraBaselines[j] {
+						t.Fatalf("%s: extra baseline %d = %d, reference %d", label, j, d.ExtraBaselines[j], dRef.ExtraBaselines[j])
+					}
+				}
+				if !observed {
+					continue
+				}
+				snap := m.Snapshot()
+				if refSnap == nil {
+					refSnap = &snap
+				} else if !reflect.DeepEqual(snap, *refSnap) {
+					t.Fatalf("%s: metrics snapshot\n%+v\ndiffers from workers=1\n%+v", label, snap, *refSnap)
+				}
+				if snap.Counters["restarts_run"] != int64(stRef.Restarts) {
+					t.Fatalf("%s: restarts_run = %d, BuildStats has %d", label, snap.Counters["restarts_run"], stRef.Restarts)
+				}
+			}
 		}
 	}
 }

@@ -9,17 +9,17 @@ import (
 )
 
 // Microbenchmarks for the per-test scan/refine hot path (DESIGN.md §14),
-// comparing the scalar reference against the maintained engine paths —
-// member scan, popcount scan over the bitmap arena, and the
-// detected-index scan — on one deterministic fixture. `make bench` runs
+// comparing the scalar reference against the two maintained engine
+// paths — member scan and detected-index scan — on one deterministic
+// fixture. `make bench` runs
 // these alongside the BenchmarkParallel* family and archives them in
 // BENCH_parallel.json; `make bench-compare` then gates the hot path with
 // ns/op by ratio and the deterministic custom metrics (dist0, best,
 // pairs) by exact match, so a path that drifts off the bit-identical
 // contract fails the bench gate, not just the unit tests.
 
-// benchFaults crosses many 64-bit word boundaries so the popcount path
-// does real word work.
+// benchFaults crosses many 64-bit word boundaries so the class-bitmap
+// probes of refineIndexed do real word work.
 const benchFaults = 4096
 
 // benchMatrix builds a deterministic response matrix with sparse
@@ -82,8 +82,8 @@ func benchFixture() (*resp.Matrix, *Partition, int) {
 }
 
 // BenchmarkDistPerClass measures the dist(z) computation — the inner
-// loop of Procedure 1's candidate scan — per path. The scalar, member,
-// and packed arms report dist(0) and the indexed arm the argmax baseline
+// loop of Procedure 1's candidate scan — per path. The scalar and member
+// arms report dist(0) and the indexed arm the argmax baseline
 // (its scan and selection are fused); both are pure functions of the
 // fixture, so bench-compare pins them exactly.
 func BenchmarkDistPerClass(b *testing.B) {
@@ -111,25 +111,6 @@ func BenchmarkDistPerClass(b *testing.B) {
 		b.ReportMetric(float64(d0), "dist0")
 	})
 
-	b.Run("packed", func(b *testing.B) {
-		p := base.Clone()
-		p.enablePacked()
-		p.compactLabs()
-		cnt := make([]int32, p.labCap)
-		var split []int32
-		var d0 int64
-		for i := 0; i < b.N; i++ {
-			for z := int32(0); z < int32(numClasses); z++ {
-				var d int64
-				d, split = p.distPacked(pc.Class(z), cnt, split)
-				if z == 0 {
-					d0 = d
-				}
-			}
-		}
-		b.ReportMetric(float64(d0), "dist0")
-	})
-
 	b.Run("indexed", func(b *testing.B) {
 		p := base.Clone()
 		p.compactLabs()
@@ -151,8 +132,8 @@ func BenchmarkDistPerClass(b *testing.B) {
 
 // BenchmarkRefine measures one full per-test step — candidate scan,
 // baseline selection, refinement — per path, the unit of work
-// scanAndRefine's cost model chooses between. Setup (cloning the fixture
-// partition, building the packed arm's arena) happens off the clock.
+// scanAndRefine chooses between. Setup (cloning the fixture partition)
+// happens off the clock.
 // Every arm reports the surviving pair count, which must be identical
 // across arms: the paths are bit-identical by contract.
 func BenchmarkRefine(b *testing.B) {
@@ -204,23 +185,6 @@ func BenchmarkRefine(b *testing.B) {
 			var evals, cutoffs int64
 			best := sc.selectIndexed(p, pc, numClasses, 0, &evals, &cutoffs)
 			sc.refineIndexed(p, pc, best)
-			pairs = p.Pairs()
-		}
-		b.ReportMetric(float64(pairs), "pairs")
-	})
-
-	b.Run("packed", func(b *testing.B) {
-		var pairs int64
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			p := base.Clone()
-			p.enablePacked()
-			p.compactLabs()
-			b.StartTimer()
-			var sc distScratch
-			var evals, cutoffs int64
-			best, cnt, split := sc.selectPacked(p, pc, numClasses, 0, &evals, &cutoffs)
-			p.refineByCounts(pc.Class(best), cnt, split)
 			pairs = p.Pairs()
 		}
 		b.ReportMetric(float64(pairs), "pairs")

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 
-	"sddict/internal/obs"
-	"sddict/internal/par"
 	"sddict/internal/resp"
 )
 
@@ -28,8 +26,15 @@ func BuildSameDiffMulti(m *resp.Matrix, opt Options) (*Dictionary, BuildStats) {
 // BuildSameDiffMultiCtx is BuildSameDiffMulti under a context: cancellation
 // and deadline stop the search at restart/sweep/test granularity and return
 // the best two-baseline dictionary found so far with BuildStats.Interrupted
-// set. Checkpoint/resume (Options.Resume, Options.OnCheckpoint) applies
-// only to the single-baseline construction and is ignored here.
+// set. The restart phase runs on the same driver as BuildSameDiffCtx with
+// two baseline slots per test, so it shares the restart schedule (both
+// constructions explore the same test orders), the index-order fold that
+// makes the outcome identical at every Options.Workers setting, the
+// observability signals, the CALLS_1 stop rule and the salvage of an
+// interrupted restart. Checkpoints record a single baseline slot, so
+// checkpoint/resume (Options.Resume, Options.CheckpointEvery,
+// Options.OnCheckpoint) applies only to the single-baseline construction
+// and is ignored here.
 func BuildSameDiffMultiCtx(ctx context.Context, m *resp.Matrix, opt Options) (*Dictionary, BuildStats, error) {
 	var st BuildStats
 	st.IndistSeeded = -1
@@ -49,76 +54,17 @@ func BuildSameDiffMultiCtx(ctx context.Context, m *resp.Matrix, opt Options) (*D
 		maxRestarts = 1
 	}
 
-	// The restart driver mirrors the single-baseline one: restart i is a
-	// pure function of (m, opt.Seed, i) — the shuffle schedule is shared
-	// with BuildSameDiffCtx, so the two constructions explore the same
-	// test orders — and results fold in index order, making the outcome
-	// identical at every Options.Workers setting.
-	type multiResult struct {
-		b1, b2  []int32
-		indist  int64
-		evals   int64
-		cutoffs int64
-		done    bool
+	var rs restartState
+	o := opt
+	o.CheckpointEvery = 0 // no emit: a two-slot selection has no checkpoint form
+	partial, interrupted := runRestartsCtx(ctx, m, o, 2, &rs, maxRestarts, st.IndistFull, nil)
+	st.Interrupted = interrupted
+	st.Restarts = rs.restarts
+	st.CandidateEvals = rs.evals
+	best1, best2, bestIndist := rs.bestBase, rs.bestExtra, rs.bestIndist
+	if interrupted {
+		best1, best2, bestIndist = rs.salvage(m, partial)
 	}
-	ob := opt.Obs
-	var best1, best2 []int32
-	var bestIndist int64
-	noImprove := 0
-	pool := par.New(opt.Workers)
-	par.Stream(ctx, pool, maxRestarts, func(ctx context.Context, i int) multiResult {
-		if ob.Tracing() {
-			ob.Emit("restart_start", map[string]any{"restart": i, "order_seed": OrderSeed(opt.Seed, i)})
-		}
-		var res multiResult
-		order := restartOrder(opt.Seed, i, m.K)
-		res.b1, res.b2, res.indist, res.done = procedure1Multi(ctx, m, order, opt.Lower, &res.evals, &res.cutoffs)
-		return res
-	}, func(i int, res multiResult) bool {
-		if !res.done {
-			st.Interrupted = true
-			if i == 0 {
-				// Keep the partial first restart: it is still a valid
-				// (if weak) two-baseline selection.
-				best1, best2, bestIndist = res.b1, res.b2, res.indist
-				st.Restarts = 1
-			}
-			return false
-		}
-		st.CandidateEvals += res.evals
-		st.Restarts++
-		improved := i == 0 || res.indist < bestIndist
-		if improved {
-			if i > 0 {
-				noImprove = 0
-			}
-			best1, best2, bestIndist = res.b1, res.b2, res.indist
-		} else {
-			noImprove++
-		}
-		// Observation at the ordered fold point only, as in runRestartsCtx.
-		ob.M().Inc(obs.RestartsRun)
-		ob.M().Add(obs.CandidateScans, res.evals)
-		ob.M().Add(obs.LowerCutoffHits, res.cutoffs)
-		ob.M().Set(obs.RestartsSinceImprove, int64(noImprove))
-		ob.M().Set(obs.IndistPairs, bestIndist)
-		ob.M().Observe(obs.RestartIndist, res.indist)
-		if ob.Tracing() {
-			ob.Emit("restart_end", map[string]any{
-				"restart": i, "indist": res.indist, "best": bestIndist,
-				"improved": improved,
-			})
-		}
-		ob.Tick()
-		if noImprove >= opt.Calls1 || st.Restarts >= maxRestarts || bestIndist <= st.IndistFull {
-			return false
-		}
-		if ctx.Err() != nil {
-			st.Interrupted = true
-			return false
-		}
-		return true
-	})
 	st.IndistProc1 = bestIndist
 	st.IndistProc2 = bestIndist
 	if opt.RunProcedure2 && !st.Interrupted && bestIndist > st.IndistFull {
@@ -140,31 +86,6 @@ func BuildSameDiffMultiCtx(ctx context.Context, m *resp.Matrix, opt Options) (*D
 		}
 	}
 	return &Dictionary{Kind: SameDiff, M: m, Baselines: best1, ExtraBaselines: best2}, st, nil
-}
-
-// procedure1Multi mirrors procedure1 with two baseline slots per test. done
-// is false when ctx cut the run short; like procedure1, the partial
-// baselines remain a valid selection.
-func procedure1Multi(ctx context.Context, m *resp.Matrix, order []int, lower int, evals, cutoffs *int64) ([]int32, []int32, int64, bool) {
-	p := NewPartition(m.N)
-	p.enablePacked()
-	b1 := make([]int32, m.K)
-	b2 := make([]int32, m.K)
-	var scratch distScratch
-	for _, j := range order {
-		if p.Done() {
-			break
-		}
-		if ctx.Err() != nil {
-			return b1, b2, p.Pairs(), false
-		}
-		b1[j] = scratch.scanAndRefine(p, m, j, lower, evals, cutoffs)
-		if p.Done() {
-			break
-		}
-		b2[j] = scratch.scanAndRefine(p, m, j, lower, evals, cutoffs)
-	}
-	return b1, b2, p.Pairs(), true
 }
 
 // procedure2Multi extends Procedure 2 to the two-baseline dictionary: each
@@ -189,7 +110,8 @@ func procedure2Multi(ctx context.Context, m *resp.Matrix, b1, b2 []int32) (int64
 		prefix := NewPartition(m.N)
 		for j := 0; j < m.K; j++ {
 			if ctx.Err() != nil {
-				return sdMultiIndist(m, b1, b2), sweeps, false
+				d := &Dictionary{Kind: SameDiff, M: m, Baselines: b1, ExtraBaselines: b2}
+				return d.Indistinguished(), sweeps, false
 			}
 			// Optimize slot 1 with slot 2 fixed.
 			meetInto(restBase, prefix, suf.lab(j+1), suf.next[j+1], &ms)
@@ -231,18 +153,4 @@ func procedure2Multi(ctx context.Context, m *resp.Matrix, b1, b2 []int32) (int64
 			return finalIndist, sweeps, false
 		}
 	}
-}
-
-// sdMultiIndist returns the indistinguished-pair count of the two-baseline
-// dictionary with the given slots, by direct refinement.
-func sdMultiIndist(m *resp.Matrix, b1, b2 []int32) int64 {
-	p := NewPartition(m.N)
-	for j := 0; j < m.K; j++ {
-		if p.Done() {
-			break
-		}
-		p.RefineByBaseline(m.Class[j], b1[j])
-		p.RefineByBaseline(m.Class[j], b2[j])
-	}
-	return p.Pairs()
 }

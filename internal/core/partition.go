@@ -24,9 +24,7 @@ package core
 //   - live/pairs: running totals making Done() and Pairs() O(1);
 //   - members/spanLo/spanHi: the faults of each live group stored
 //     contiguously, so per-group scans touch only live faults instead of
-//     the whole label array;
-//   - packed (optional, procedure 1 only): per-group fault bitmaps for
-//     popcount-based dist scans, see partition_packed.go.
+//     the whole label array.
 //
 // All of it is derived state: the label array plus the split rules below
 // fully determine every field, so the observable behaviour (labels, pair
@@ -55,9 +53,6 @@ type Partition struct {
 	labCap int
 
 	scratch []int32 // rebuild fill-pointer buffer
-
-	packed     *packedGroups // popcount engine; nil unless enablePacked was called
-	packedIdle int           // consecutive scans that did not pick the packed path
 }
 
 // Isolated is the label of faults that are already distinguished from all
@@ -126,8 +121,6 @@ func (p *Partition) normalize() {
 
 // rebuild derives all maintained group state from lab/next. It requires a
 // normalized label array: labels dense in [0, next), every group size ≥ 2.
-// Any packed arena is dropped (its only user, procedure 1, never triggers a
-// rebuild).
 func (p *Partition) rebuild() {
 	n := int(p.next)
 	if cap(p.size) < n {
@@ -182,7 +175,6 @@ func (p *Partition) rebuild() {
 		p.scratch = fill[:0]
 	}
 	p.labCap = int(p.next) + p.live - p.groups
-	p.packed = nil
 }
 
 // compactLabs drops dead entries from the label list once they outnumber
@@ -212,9 +204,6 @@ func (p *Partition) newLabel(sz int32) int32 {
 	p.spanHi = append(p.spanHi, 0)
 	p.labs = append(p.labs, l)
 	p.groups++
-	if p.packed != nil {
-		p.packed.addLabel()
-	}
 	return l
 }
 
@@ -223,9 +212,6 @@ func (p *Partition) killLabel(l int32) {
 	p.size[l] = 0
 	p.dead++
 	p.groups--
-	if p.packed != nil {
-		p.packed.dropLabel(l)
-	}
 }
 
 // splitByClass splits live group l into its c members with
@@ -280,8 +266,7 @@ func (p *Partition) splitByBitmap(l, c int32, bm []uint64) int64 {
 // partitioned into [lo, hi−c) others and [hi−c, hi) matches: the other
 // side keeps label l, the match side gets a fresh label, and either side
 // of size 1 becomes isolated. It returns the c·(s−c) pairs removed,
-// updating all maintained state (including the packed arena when
-// present).
+// updating all maintained state.
 func (p *Partition) finishSplit(l, c int32) int64 {
 	s := p.size[l]
 	os := s - c
@@ -290,8 +275,6 @@ func (p *Partition) finishSplit(l, c int32) int64 {
 	lo, hi := p.spanLo[l], p.spanHi[l]
 	mid := hi - c
 
-	// Match side first: the packed move must read the parent's word list
-	// before the parent is possibly retired below.
 	if c >= 2 {
 		nl := p.newLabel(c)
 		p.spanLo[nl] = mid
@@ -299,16 +282,9 @@ func (p *Partition) finishSplit(l, c int32) int64 {
 		for k := mid; k < hi; k++ {
 			p.lab[p.members[k]] = nl
 		}
-		if p.packed != nil {
-			p.packed.move(l, nl, p.members[mid:hi])
-		}
 	} else {
-		f := p.members[mid]
-		p.lab[f] = Isolated
+		p.lab[p.members[mid]] = Isolated
 		p.live--
-		if p.packed != nil {
-			p.packed.clear(l, f)
-		}
 	}
 
 	if os >= 2 {
@@ -337,8 +313,7 @@ func (p *Partition) Label(i int) int32 { return p.lab[i] }
 // fault count is maintained during refinement.
 func (p *Partition) Done() bool { return p.live == 0 }
 
-// Clone returns an independent copy. The packed arena, if any, is not
-// cloned: it exists only inside procedure 1, which never clones.
+// Clone returns an independent copy.
 func (p *Partition) Clone() *Partition {
 	return &Partition{
 		lab:     append([]int32(nil), p.lab...),

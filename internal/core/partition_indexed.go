@@ -16,75 +16,34 @@ import (
 // That makes the dist scan O(detected + evals) per test, independent of
 // how many faults are still live, which is the dominant regime of a
 // restart: most tests detect a few percent of the faults while most
-// faults still sit in live groups. All three scan paths (member scan,
-// popcount scan, index scan) compute the exact per-group class counts, so
-// dist is bit-identical and the path choice never perturbs the LOWER
-// cutoff or any artifact.
-
-// packedIdleDrop is the number of consecutive tests the popcount path
-// must lose the cost race before the bitmap arena is dropped. Once the
-// partition shatters into many small groups the popcount scan never wins
-// again, and dropping the arena stops splits from paying its upkeep. The
-// counter is a pure function of deterministic partition state, so the
-// drop point is identical on every run and worker count.
-const packedIdleDrop = 4
+// faults still sit in live groups. Both scan paths (member scan, index
+// scan) compute the exact per-group class counts, so dist is
+// bit-identical and the path choice never perturbs the LOWER cutoff or
+// any artifact.
 
 // scanAndRefine runs one step of Procedure 1 on test j: pick the baseline
 // under the LOWER cutoff and refine the partition by it. Per test it
-// takes whichever scan path the cost model says is cheapest for the
-// current group structure — all paths produce bit-identical dist values,
-// so cand_evals, the cutoff points, and the selected baselines match the
+// takes the index scan or the member scan, whichever the detected-list
+// size says is cheaper — both produce bit-identical dist values, so
+// cand_evals, the cutoff points, and the selected baselines match the
 // reference member scan exactly.
 func (sc *distScratch) scanAndRefine(p *Partition, m *resp.Matrix, j, lower int, evals, cutoffs *int64) int32 {
-	numClasses := m.NumClasses(j)
 	p.compactLabs()
 	pc := m.PackedClasses(j)
-	det := pc.DetectedList()
-
 	// The member scan pays live work twice (perClass count plus the
 	// refinement re-count) and zeroes a full dist array, so the index path
 	// wins well past the point where the detected list outgrows the live
 	// count. The choice is a pure function of deterministic state, and
 	// both paths give bit-identical dist.
-	indexed := len(det) < 8*p.live
-	cost := p.live + numClasses
-	if indexed {
-		cost = len(det)/8 + numClasses
-	}
-	usePacked := false
-	if p.packed != nil {
-		// The popcount scan costs roughly (expected evals under the
-		// cutoff) × (groups + nonzero words); it wins while the partition
-		// is a few large groups.
-		est := numClasses
-		if lower > 0 && lower+1 < est {
-			est = lower + 1
-		}
-		usePacked = est*(p.groups+p.packed.nnz) < cost
-		if usePacked {
-			p.packedIdle = 0
-		} else {
-			p.packedIdle++
-			if p.packedIdle >= packedIdleDrop {
-				p.packed = nil
-			}
-		}
-	}
-	switch {
-	case usePacked:
-		best, cnt, split := sc.selectPacked(p, pc, numClasses, lower, evals, cutoffs)
-		p.refineByCounts(pc.Class(best), cnt, split)
-		return best
-	case indexed:
-		best := sc.selectIndexed(p, pc, numClasses, lower, evals, cutoffs)
+	if len(pc.DetectedList()) < 8*p.live {
+		best := sc.selectIndexed(p, pc, m.NumClasses(j), lower, evals, cutoffs)
 		sc.refineIndexed(p, pc, best)
 		return best
-	default:
-		dist := sc.perClass(p, m.Class[j], numClasses)
-		best := selectWithLower(dist, lower, evals, cutoffs)
-		p.RefineByBaseline(m.Class[j], best)
-		return best
 	}
+	dist := sc.perClass(p, m.Class[j], m.NumClasses(j))
+	best := selectWithLower(dist, lower, evals, cutoffs)
+	p.RefineByBaseline(m.Class[j], best)
+	return best
 }
 
 // ensureIndexBufs sizes the per-label counters to the partition's label

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// Property tests pinning the maintained partition engine — member scan,
-// detected-index scan, and packed popcount scan — to the scalar reference
-// implementations in partition_ref.go. The contract under test is the one
-// DESIGN.md §14 relies on: every path produces bit-identical labels,
+// Property tests pinning the maintained partition engine — member scan and
+// detected-index scan — to the scalar reference implementations in
+// partition_ref.go. The contract under test is the one DESIGN.md §14
+// relies on: both paths produce bit-identical labels,
 // removed-pair counts, dist values, and LOWER counter movements, so the
 // per-test path choice can never perturb an artifact.
 
@@ -22,8 +22,8 @@ func cloneLabels(p *Partition) []int32 {
 	return lab
 }
 
-// TestEngineMatchesReference drives the full scanAndRefine engine (packed
-// arena enabled, so the cost model exercises all three paths as the
+// TestEngineMatchesReference drives the full scanAndRefine engine (whose
+// path choice moves from the index scan to the member scan as the
 // partition shatters) against the scalar reference on random matrices:
 // the selected baselines, the labels after every refinement, the pair
 // counts, and the LOWER eval/cutoff counters must all match exactly.
@@ -37,7 +37,6 @@ func TestEngineMatchesReference(t *testing.T) {
 		refLab := make([]int32, n)
 		refNext := int32(1)
 		engine := NewPartition(n)
-		engine.enablePacked()
 		var sc distScratch
 		var evalsRef, cutRef, evalsEng, cutEng int64
 		for j := 0; j < k; j++ {
@@ -70,8 +69,8 @@ func TestEngineMatchesReference(t *testing.T) {
 }
 
 // TestScanPathsAgree forces each scan path in turn on the same starting
-// partition — bypassing the cost model — and requires identical baseline
-// choices, LOWER counters, labels, and pair counts from all three.
+// partition — bypassing the path choice — and requires identical baseline
+// choices, LOWER counters, labels, and pair counts from both.
 func TestScanPathsAgree(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 150; trial++ {
@@ -104,30 +103,21 @@ func TestScanPathsAgree(t *testing.T) {
 		bestI := sci.selectIndexed(pi, pc, numClasses, lower, &evalsI, &cutI)
 		sci.refineIndexed(pi, pc, bestI)
 
-		pp := base.Clone()
-		pp.enablePacked()
-		var scp distScratch
-		var evalsP, cutP int64
-		pp.compactLabs()
-		bestP, cnt, split := scp.selectPacked(pp, pc, numClasses, lower, &evalsP, &cutP)
-		pp.refineByCounts(pc.Class(bestP), cnt, split)
-
-		if bestI != bestM || bestP != bestM {
-			t.Fatalf("trial %d: member chose %d, indexed %d, packed %d", trial, bestM, bestI, bestP)
+		if bestI != bestM {
+			t.Fatalf("trial %d: member chose %d, indexed %d", trial, bestM, bestI)
 		}
-		if evalsI != evalsM || evalsP != evalsM || cutI != cutM || cutP != cutM {
-			t.Fatalf("trial %d: counter mismatch: member (%d,%d) indexed (%d,%d) packed (%d,%d)",
-				trial, evalsM, cutM, evalsI, cutI, evalsP, cutP)
+		if evalsI != evalsM || cutI != cutM {
+			t.Fatalf("trial %d: counter mismatch: member (%d,%d) indexed (%d,%d)",
+				trial, evalsM, cutM, evalsI, cutI)
 		}
 		for i := 0; i < n; i++ {
-			if pi.Label(i) != pm.Label(i) || pp.Label(i) != pm.Label(i) {
-				t.Fatalf("trial %d fault %d: member label %d, indexed %d, packed %d",
-					trial, i, pm.Label(i), pi.Label(i), pp.Label(i))
+			if pi.Label(i) != pm.Label(i) {
+				t.Fatalf("trial %d fault %d: member label %d, indexed %d",
+					trial, i, pm.Label(i), pi.Label(i))
 			}
 		}
-		if pi.Pairs() != pm.Pairs() || pp.Pairs() != pm.Pairs() {
-			t.Fatalf("trial %d: pairs member %d, indexed %d, packed %d",
-				trial, pm.Pairs(), pi.Pairs(), pp.Pairs())
+		if pi.Pairs() != pm.Pairs() {
+			t.Fatalf("trial %d: pairs member %d, indexed %d", trial, pm.Pairs(), pi.Pairs())
 		}
 	}
 }
@@ -177,7 +167,6 @@ func TestScratchReuseAcrossTests(t *testing.T) {
 		refLab := make([]int32, n)
 		refNext := int32(1)
 		engine := NewPartition(n)
-		engine.enablePacked()
 		var evalsRef, cutRef, evalsEng, cutEng int64
 		for j := 0; j < k && !engine.Done(); j++ {
 			numClasses := m.NumClasses(j)

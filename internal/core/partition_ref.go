@@ -2,12 +2,13 @@ package core
 
 // Reference implementations of the pre-packing scalar partition
 // operations, kept as the executable specification of the engine in
-// partition.go / partition_packed.go. They operate on a bare label array
+// partition.go / partition_indexed.go. They operate on a bare label array
 // (the representation of record) with none of the maintained group state,
 // exactly as the original code did. The property tests in
-// partition_test.go assert that the maintained engine — with and without
-// the packed arena — matches these on random partitions and class
-// vectors: labels, removed-pair counts, and every dist value bit for bit.
+// partition_test.go and partition_prop_test.go assert that the maintained
+// engine — member scan and index scan alike — matches these on random
+// partitions and class vectors: labels, removed-pair counts, and every
+// dist value bit for bit.
 // They are not used outside tests.
 
 // refRefineByBaseline is the original RefineByBaseline: full label-array
@@ -74,8 +75,8 @@ func refRefineByBaseline(lab []int32, next int32, class []int32, baseline int32)
 
 // refPerClass is the original distScratch.perClass: rebuild the group
 // member lists from the label array, then one counting-sort pass per
-// group. dist(z) accumulates c·(s−c) per group exactly as the maintained
-// and packed paths do, so all three must agree on every value.
+// group. dist(z) accumulates c·(s−c) per group exactly as the member and
+// index scans do, so all three must agree on every value.
 func refPerClass(lab []int32, next int32, class []int32, numClasses int) []int64 {
 	dist := make([]int64, numClasses)
 	n := int(next)

@@ -7,34 +7,43 @@ import (
 )
 
 // procedure1 is the paper's Procedure 1: greedy baseline selection over the
-// given test order with the LOWER early cutoff. It returns the selected
-// baselines (indexed by test, not by order position) and the number of
-// indistinguished pairs left. done is false when the run was cut short by
-// ctx; the partial baselines are still a valid selection (unprocessed tests
-// keep the fault-free baseline), but the pair count then reflects only the
-// refinements applied so far.
+// given test order with the LOWER early cutoff. slots is the number of
+// baselines selected per test: 1 for the paper's dictionary, 2 for the
+// multi-baseline extension, whose second slot is a second greedy step on
+// the same test against the partition the first one refined. The result
+// holds the selected baselines (indexed by test, not by order position)
+// and the number of indistinguished pairs left. done is false when the run
+// was cut short by ctx; the partial baselines are still a valid selection
+// (unprocessed tests keep the fault-free baseline), but the pair count then
+// reflects only the refinements applied so far.
 //
-// The partition runs with the packed popcount engine enabled: per test the
-// scan takes whichever of the bitmap-popcount, detected-index, and
-// member-scan paths is cheapest for the current group structure. All
-// produce bit-identical dist values, so the LOWER cutoff fires at the same
-// points, cand_evals counts match exactly, and the selected baselines are
+// Per test the scan takes the detected-index or the member-scan path,
+// whichever is cheaper for the current partition. Both produce
+// bit-identical dist values, so the LOWER cutoff fires at the same points,
+// cand_evals counts match exactly, and the selected baselines are
 // unchanged (DESIGN.md §14).
-func procedure1(ctx context.Context, m *resp.Matrix, order []int, lower int, evals, cutoffs *int64) ([]int32, int64, bool) {
+func procedure1(ctx context.Context, m *resp.Matrix, order []int, lower, slots int) restartResult {
 	p := NewPartition(m.N)
-	p.enablePacked()
-	baselines := make([]int32, m.K) // unselected tests keep the fault-free baseline
+	res := restartResult{base: make([]int32, m.K)} // unselected tests keep the fault-free baseline
+	if slots == 2 {
+		res.extra = make([]int32, m.K)
+	}
 	var scratch distScratch
 	for _, j := range order {
 		if p.Done() {
 			break
 		}
 		if ctx.Err() != nil {
-			return baselines, p.Pairs(), false
+			res.indist = p.Pairs()
+			return res
 		}
-		baselines[j] = scratch.scanAndRefine(p, m, j, lower, evals, cutoffs)
+		res.base[j] = scratch.scanAndRefine(p, m, j, lower, &res.evals, &res.cutoffs)
+		if res.extra != nil && !p.Done() {
+			res.extra[j] = scratch.scanAndRefine(p, m, j, lower, &res.evals, &res.cutoffs)
+		}
 	}
-	return baselines, p.Pairs(), true
+	res.indist, res.done = p.Pairs(), true
+	return res
 }
 
 // selectWithLower scans candidate classes in Z_j order (class id order) and
@@ -43,8 +52,8 @@ func procedure1(ctx context.Context, m *resp.Matrix, order []int, lower int, eva
 // lower <= 0 scans everything. Ties keep the earliest candidate. cutoffs
 // counts scans the cutoff terminated early — a per-restart tally folded
 // into the obs.LowerCutoffHits metric, never into the search itself.
-// selectPacked implements the same state machine over lazily computed dist
-// values; the two must stay in lockstep.
+// selectIndexed implements the same state machine over lazily computed
+// dist values; the two must stay in lockstep.
 func selectWithLower(dist []int64, lower int, evals, cutoffs *int64) int32 {
 	best := int64(-1)
 	bestIdx := int32(0)
@@ -73,12 +82,6 @@ type distScratch struct {
 	cnt     []int64
 	dist    []int64
 	touched []int32
-
-	// Packed-scan double buffers (selectPacked).
-	cntLab  []int32
-	bestLab []int32
-	splitA  []int32
-	splitB  []int32
 
 	// Index-scan buffers (selectIndexed/refineIndexed). zcnt and dcnt are
 	// per-label counters kept all-zero between tests.

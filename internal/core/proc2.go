@@ -41,7 +41,8 @@ func procedure2(ctx context.Context, m *resp.Matrix, baselines []int32, ob *obs.
 		prefix := NewPartition(m.N)
 		for j := 0; j < m.K; j++ {
 			if ctx.Err() != nil {
-				return sdIndist(m, baselines), sweeps, false
+				d := &Dictionary{Kind: SameDiff, M: m, Baselines: baselines}
+				return d.Indistinguished(), sweeps, false
 			}
 			dist := scratch.distMeet(prefix, suf.lab(j+1), suf.next[j+1], m.Class[j], m.NumClasses(j))
 			cur := baselines[j]
@@ -289,17 +290,4 @@ func (s *suffixLabels) buildMulti(m *resp.Matrix, b1, b2 []int32) {
 		copy(s.lab(j), p.lab)
 		s.next[j] = p.next
 	}
-}
-
-// sdIndist returns the indistinguished-pair count of the same/different
-// dictionary with the given baselines, by direct refinement.
-func sdIndist(m *resp.Matrix, baselines []int32) int64 {
-	p := NewPartition(m.N)
-	for j := 0; j < m.K; j++ {
-		if p.Done() {
-			break
-		}
-		p.RefineByBaseline(m.Class[j], baselines[j])
-	}
-	return p.Pairs()
 }

@@ -204,10 +204,7 @@ func BuildSameDiffCtx(ctx context.Context, m *resp.Matrix, opt Options) (*Dictio
 		})
 	}
 
-	// partialBase holds the baselines of a restart cut short by
-	// cancellation; they form a valid dictionary (unreached tests keep the
-	// fault-free baseline) and may beat the completed best.
-	partialBase, interrupted := runRestartsCtx(ctx, m, opt, &rs, maxRestarts, st.IndistFull, emit)
+	partial, interrupted := runRestartsCtx(ctx, m, opt, 1, &rs, maxRestarts, st.IndistFull, emit)
 	st.Interrupted = interrupted
 	st.Restarts = rs.restarts
 	st.CandidateEvals = rs.evals
@@ -216,20 +213,10 @@ func BuildSameDiffCtx(ctx context.Context, m *resp.Matrix, opt Options) (*Dictio
 		// Salvage: keep the best of the completed restarts, the interrupted
 		// partial run, and (with SeedFaultFree) the plain pass/fail
 		// baselines — the cheap tail of the SeedFaultFree guarantee.
-		if bestBase == nil {
-			if partialBase == nil {
-				partialBase = make([]int32, m.K)
-			}
-			bestBase, bestIndist = partialBase, sdIndist(m, partialBase)
-		} else if partialBase != nil {
-			if pi := sdIndist(m, partialBase); pi < bestIndist {
-				bestBase, bestIndist = partialBase, pi
-			}
-		}
+		bestBase, _, bestIndist = rs.salvage(m, partial)
 		if opt.SeedFaultFree {
-			zeros := make([]int32, m.K)
-			if zi := sdIndist(m, zeros); zi < bestIndist {
-				bestBase, bestIndist = zeros, zi
+			if zi := NewPassFail(m).Indistinguished(); zi < bestIndist {
+				bestBase, bestIndist = make([]int32, m.K), zi
 				st.UsedSeeded = true
 			}
 		}

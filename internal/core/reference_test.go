@@ -72,9 +72,9 @@ func TestProcedure1MatchesReference(t *testing.T) {
 		m := randomMatrix(r, 2+r.Intn(25), 1+r.Intn(8), 5)
 		order := r.Perm(m.K)
 		lower := r.Intn(4) // 0 = exhaustive, small cutoffs stress the rule
-		var evals, cutoffs int64
-		gotBase, gotPairs, done := procedure1(context.Background(), m, order, lower, &evals, &cutoffs)
-		if !done {
+		res := procedure1(context.Background(), m, order, lower, 1)
+		gotBase, gotPairs := res.base, res.indist
+		if !res.done {
 			t.Fatalf("trial %d: uninterrupted Procedure 1 reported interruption", trial)
 		}
 		wantBase, wantPairs := procedure1Reference(m, order, lower)

@@ -57,6 +57,7 @@ func restartOrder(seed int64, i, k int) []int {
 // restartResult is the outcome of one Procedure 1 restart.
 type restartResult struct {
 	base    []int32
+	extra   []int32 // second baseline slot per test; nil for a one-slot build
 	indist  int64
 	evals   int64
 	cutoffs int64 // LOWER early-terminations, tallied for obs only
@@ -66,20 +67,17 @@ type restartResult struct {
 }
 
 // runRestart executes restart i of the schedule: a pure function of
-// (m, seed, i, lower) with its own distScratch (inside procedure1), so
-// concurrent restarts share no state. The restart_start trace event is
+// (m, seed, i, lower, slots) with its own distScratch (inside procedure1),
+// so concurrent restarts share no state. The restart_start trace event is
 // the one observation emitted from a worker rather than a fold point: it
 // records real (speculative) execution order, so its position in the
 // trace may vary across worker counts even though every metric and every
 // other event is fold-ordered.
-func runRestart(ctx context.Context, m *resp.Matrix, seed int64, i, lower int, ob *obs.Observer) restartResult {
+func runRestart(ctx context.Context, m *resp.Matrix, seed int64, i, lower, slots int, ob *obs.Observer) restartResult {
 	if ob.Tracing() {
 		ob.Emit("restart_start", map[string]any{"restart": i, "order_seed": OrderSeed(seed, i)})
 	}
-	var res restartResult
-	order := restartOrder(seed, i, m.K)
-	res.base, res.indist, res.done = procedure1(ctx, m, order, lower, &res.evals, &res.cutoffs)
-	return res
+	return procedure1(ctx, m, restartOrder(seed, i, m.K), lower, slots)
 }
 
 // restartState is the sequential fold over restart results — exactly the
@@ -87,6 +85,7 @@ func runRestart(ctx context.Context, m *resp.Matrix, seed int64, i, lower int, o
 // the speculative driver applies it in restart-index order.
 type restartState struct {
 	bestBase   []int32
+	bestExtra  []int32 // nil for a one-slot build
 	bestIndist int64
 	restarts   int // completed restarts folded so far
 	noImprove  int // consecutive non-improving restarts (CALLS_1 counter)
@@ -97,13 +96,13 @@ type restartState struct {
 func (s *restartState) fold(i int, res restartResult) {
 	s.evals += res.evals
 	if i == 0 {
-		s.bestBase, s.bestIndist = res.base, res.indist
+		s.bestBase, s.bestExtra, s.bestIndist = res.base, res.extra, res.indist
 		s.restarts = 1
 		return
 	}
 	s.restarts++
 	if res.indist < s.bestIndist {
-		s.bestBase, s.bestIndist = res.base, res.indist
+		s.bestBase, s.bestExtra, s.bestIndist = res.base, res.extra, res.indist
 		s.noImprove = 0
 	} else {
 		s.noImprove++
@@ -117,26 +116,46 @@ func (s *restartState) wantMore(opt Options, maxRestarts int, indistFull int64) 
 	return s.noImprove < opt.Calls1 && s.restarts < maxRestarts && s.bestIndist > indistFull
 }
 
-// runRestartsCtx drives the Procedure 1 restart phase: restarts are
-// fanned out across the pool speculatively, folded in index order, and
-// stopped exactly where the one-worker loop would stop, so bestBase,
-// bestIndist and all counters are byte-identical at every worker count.
-// On cancellation the fold keeps the completed in-order prefix (the only
-// state checkpoints ever record) plus the first incomplete restart's
-// partial baselines for salvage.
-func runRestartsCtx(ctx context.Context, m *resp.Matrix, opt Options, st *restartState, maxRestarts int, indistFull int64, emit func()) (partialBase []int32, interrupted bool) {
+// salvage returns the result of an interrupted restart phase: the better
+// of the best completed restart and the partial selection of the restart
+// cancellation cut short. The partial selection is a valid dictionary
+// (unreached tests keep the fault-free baseline), so it is scored by its
+// own indistinguished count rather than by the pairs its refinement
+// reached before the cut.
+func (s *restartState) salvage(m *resp.Matrix, partial restartResult) (base, extra []int32, indist int64) {
+	base, extra, indist = s.bestBase, s.bestExtra, s.bestIndist
+	if partial.base == nil {
+		return base, extra, indist
+	}
+	d := &Dictionary{Kind: SameDiff, M: m, Baselines: partial.base, ExtraBaselines: partial.extra}
+	if pi := d.Indistinguished(); base == nil || pi < indist {
+		return partial.base, partial.extra, pi
+	}
+	return base, extra, indist
+}
+
+// runRestartsCtx drives the Procedure 1 restart phase with slots (1 or 2)
+// baselines per test: restarts are fanned out across the pool
+// speculatively, folded in index order, and stopped exactly where the
+// one-worker loop would stop, so the best selection, bestIndist and all
+// counters are byte-identical at every worker count. On cancellation the
+// fold keeps the completed in-order prefix (the only state checkpoints
+// ever record) and returns the first incomplete restart as partial, for
+// salvage. emit is called every opt.CheckpointEvery completed restarts;
+// it may be nil when CheckpointEvery is 0.
+func runRestartsCtx(ctx context.Context, m *resp.Matrix, opt Options, slots int, st *restartState, maxRestarts int, indistFull int64, emit func()) (partial restartResult, interrupted bool) {
 	start := st.restarts // next restart index to run
 	if start > 0 && !st.wantMore(opt, maxRestarts, indistFull) {
-		return nil, false // resumed past the stopping point — nothing to do
+		return partial, false // resumed past the stopping point — nothing to do
 	}
 	ob := opt.Obs
 	pool := par.New(opt.Workers)
 	par.Stream(ctx, pool, maxRestarts-start, func(ctx context.Context, si int) restartResult {
-		return runRestart(ctx, m, opt.Seed, start+si, opt.Lower, ob)
+		return runRestart(ctx, m, opt.Seed, start+si, opt.Lower, slots, ob)
 	}, func(si int, res restartResult) bool {
 		if !res.done {
 			interrupted = true
-			partialBase = res.base
+			partial = res
 			return false
 		}
 		improvedFrom := st.bestIndist
@@ -171,5 +190,5 @@ func runRestartsCtx(ctx context.Context, m *resp.Matrix, opt Options, st *restar
 		}
 		return true
 	})
-	return partialBase, interrupted
+	return partial, interrupted
 }

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"sddict/internal/obs"
 	"sddict/internal/resp"
 )
 
@@ -137,6 +140,87 @@ func TestBuildSameDiffCtxCancelMidRestart(t *testing.T) {
 	}
 	if len(d.Baselines) != m.K {
 		t.Fatalf("dictionary has %d baselines, want %d", len(d.Baselines), m.K)
+	}
+}
+
+// errAfterCtx is a context whose Err turns to context.Canceled on its
+// n-th call. The search polls Err once per test, so with one worker the
+// cancellation lands at an exact, reproducible point inside a restart.
+type errAfterCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func newErrAfterCtx(n int64) *errAfterCtx {
+	c := &errAfterCtx{Context: context.Background()}
+	c.left.Store(n)
+	return c
+}
+
+func (c *errAfterCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestBuildSameDiffMultiCtxCancelMidRestart cancels the two-baseline build
+// at each of the first 40 Err polls. Each interrupted build must
+// report only completed restarts (one restart_end event each) and return
+// the better of the best completed restart and the cut-short one, scored
+// by the returned dictionary's own resolution.
+func TestBuildSameDiffMultiCtxCancelMidRestart(t *testing.T) {
+	// Three tests and many classes: the two-baseline dictionary cannot
+	// reach the full-dictionary floor, so the first 40 polls span ten
+	// restarts, and at one cut the interrupted restart's partial selection
+	// beats the only completed restart.
+	r := rand.New(rand.NewSource(7))
+	m := randomMatrix(r, 100, 3, 5)
+	opt := DefaultOptions
+	opt.Seed = 3
+	opt.Calls1 = 1000
+	opt.MaxRestarts = 1000
+	opt.Workers = 1
+
+	partialWon := false
+	for cut := int64(0); cut < 40; cut++ {
+		var trace bytes.Buffer
+		o := opt
+		o.Obs = &obs.Observer{Metrics: obs.NewMetrics(), Trace: obs.NewTracer(&trace, nil)}
+		d, st, err := BuildSameDiffMultiCtx(newErrAfterCtx(cut), m, o)
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		if !st.Interrupted {
+			t.Fatalf("cut %d: Interrupted not set (restarts=%d)", cut, st.Restarts)
+		}
+		if got := d.Indistinguished(); got != st.IndistFinal {
+			t.Fatalf("cut %d: dictionary indist %d != reported IndistFinal %d", cut, got, st.IndistFinal)
+		}
+		events, err := obs.ReadEvents(&trace)
+		if err != nil {
+			t.Fatalf("cut %d: trace does not parse: %v", cut, err)
+		}
+		ends := 0
+		var completedBest int64 = -1
+		for _, ev := range events {
+			if ev.Type == "restart_end" {
+				ends++
+				completedBest = int64(ev.Fields["best"].(float64))
+			}
+		}
+		if st.Restarts != ends {
+			t.Fatalf("cut %d: BuildStats.Restarts = %d, trace has %d restart_end events", cut, st.Restarts, ends)
+		}
+		if completedBest >= 0 && st.IndistFinal > completedBest {
+			t.Fatalf("cut %d: IndistFinal %d worse than the best completed restart (%d)", cut, st.IndistFinal, completedBest)
+		}
+		if completedBest >= 0 && st.IndistFinal < completedBest {
+			partialWon = true
+		}
+	}
+	if !partialWon {
+		t.Fatalf("no cut point salvaged a partial restart better than the completed best")
 	}
 }
 

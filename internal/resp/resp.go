@@ -47,9 +47,9 @@ type Matrix struct {
 // PackedClasses is the bit-packed view of one test's class row: for every
 // response class z, a bitmap over the fault indices with bit i set exactly
 // when Class[j][i] == z. The class bitmaps partition the fault set, so the
-// whole row costs numClasses·⌈N/64⌉ words, and popcounts over
-// group ∧ classBitmap(z) replace per-fault class counting in the
-// dictionary search.
+// whole row costs numClasses·⌈N/64⌉ words; the dictionary search probes
+// them to split a group's members by class without re-walking the
+// detected-fault index.
 type PackedClasses struct {
 	words int
 	bits  []uint64 // numClasses consecutive slabs of `words` words each
