@@ -37,9 +37,11 @@ lint-fix-check:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz pass over the .bench parser; CI-friendly budget.
+# Short fuzz passes over the .bench parser and the SAT solver (verdict
+# against brute force, model against every clause); CI-friendly budget.
 fuzz:
 	$(GO) test -run=FuzzParse -fuzz=FuzzParse -fuzztime=30s ./internal/bench/
+	$(GO) test -run=FuzzSolveMatchesBruteForce -fuzz=FuzzSolveMatchesBruteForce -fuzztime=30s ./internal/sat/
 
 # Parallel-layer benchmarks (restart search, fault-sim sharding, sweep
 # rows) at workers=1 vs N plus the partition scan/refine microbenchmarks

@@ -67,6 +67,10 @@ type DiagStats struct {
 	Rounds      int
 	MiterCalls  int
 	SATCalls    int // SAT fallback invocations
+	// ModelMismatches counts SAT models that failed re-simulation on the
+	// circuit; each was treated as Aborted. It stays 0 unless the solver
+	// or the miter encoding is wrong.
+	ModelMismatches int
 	// IndistPairs is the number of fault pairs left with identical full
 	// responses under the final test set (the paper's "full" column).
 	IndistPairs int64
@@ -278,9 +282,13 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 				continue
 			}
 			stats.SATCalls++
-			v, status, err := SolveOutputOne(miter, miter.POs[0], cfg.SATConflictBudget)
+			detects := func(v pattern.Vector) bool { return VectorDetects(c, faults[i], v) }
+			v, status, mismatch, err := solveMiter(miter, cfg.SATConflictBudget, detects)
 			if err != nil {
 				continue
+			}
+			if mismatch {
+				stats.ModelMismatches++
 			}
 			switch status {
 			case Untestable:
@@ -355,8 +363,12 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 						(cfg.MaxSATCalls == 0 || stats.SATCalls < cfg.MaxSATCalls) {
 						// Complete fallback: Tseitin-encode the miter.
 						if miter, merr := BuildMiter(c, faults[a], faults[b]); merr == nil {
-							if v, sstatus, serr := SolveOutputOne(miter, miter.POs[0], cfg.SATConflictBudget); serr == nil {
+							distinguishes := func(v pattern.Vector) bool { return Distinguishes(c, faults[a], faults[b], v) }
+							if v, sstatus, mismatch, serr := solveMiter(miter, cfg.SATConflictBudget, distinguishes); serr == nil {
 								stats.SATCalls++
+								if mismatch {
+									stats.ModelMismatches++
+								}
 								if sstatus == Aborted {
 									satUseless++
 								} else {

@@ -59,6 +59,10 @@ type GenStats struct {
 	Detected    int // faults detected at least once
 	NDetected   int // faults detected at least NDetect times
 	Faults      int // faults targeted
+	// ModelMismatches counts SAT models that failed re-simulation on the
+	// circuit; each was treated as Aborted. It stays 0 unless the solver
+	// or the miter encoding is wrong.
+	ModelMismatches int
 	// Interrupted is set when generation stopped early on context
 	// cancellation or deadline; the returned test set is valid but may
 	// leave faults short of their detection targets.
@@ -221,8 +225,12 @@ func GenerateDetectionCtx(ctx context.Context, c *netlist.Circuit, faults []faul
 				// Second structural abort: escalate to the complete SAT
 				// procedure on the detection miter.
 				if miter, merr := BuildDetectionMiter(c, faults[fi]); merr == nil {
-					if v, sstatus, serr := SolveOutputOne(miter, miter.POs[0], cfg.SATConflictBudget); serr == nil {
+					detects := func(v pattern.Vector) bool { return VectorDetects(c, faults[fi], v) }
+					if v, sstatus, mismatch, serr := solveMiter(miter, cfg.SATConflictBudget, detects); serr == nil {
 						cube, status = v, sstatus
+						if mismatch {
+							stats.ModelMismatches++
+						}
 					}
 				}
 			}

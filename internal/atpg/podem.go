@@ -58,6 +58,15 @@ type Engine struct {
 	slot  []int32 // gate -> scan input slot, or -1
 	rng   *rand.Rand
 
+	// Event-driven implication (see settle). freeVal is the fault-free
+	// value of every gate with all inputs X, the state every Generate
+	// starts from; bucket[l] holds the scheduled gates of level l, and
+	// bucket[lo..hi] is the range that may be non-empty.
+	freeVal []logic.V5
+	bucket  [][]int32
+	queued  []bool
+	lo, hi  int32
+
 	target fault.Fault
 	isPO   []bool
 	scoap  *netlist.SCOAP
@@ -88,9 +97,12 @@ func NewEngine(c *netlist.Circuit) *Engine {
 		val:            make([]logic.V5, len(c.Gates)),
 		piVal:          make([]logic.Value, len(c.Gates)),
 		slot:           make([]int32, len(c.Gates)),
+		bucket:         make([][]int32, c.MaxLevel()+1),
+		queued:         make([]bool, len(c.Gates)),
 		in:             make([]logic.V5, maxFanin),
 		visited:        make([]uint32, len(c.Gates)),
 	}
+	e.lo, e.hi = int32(len(e.bucket)), -1
 	for i := range e.slot {
 		e.slot[i] = -1
 	}
@@ -102,6 +114,11 @@ func NewEngine(c *netlist.Circuit) *Engine {
 		e.isPO[o] = true
 	}
 	e.scoap = netlist.ComputeSCOAP(c)
+	// No gate carries the fault Gate -1: imply computes the fault-free
+	// all-X state.
+	e.target = fault.Fault{Gate: -1, Pin: fault.StemPin}
+	e.imply()
+	e.freeVal = append([]logic.V5(nil), e.val...)
 	return e
 }
 
@@ -120,11 +137,7 @@ func (e *Engine) SetContext(ctx context.Context) { e.ctx = ctx }
 // returned vector has a ternary value per scan input; unassigned inputs are
 // X and may be filled freely without losing detection.
 func (e *Engine) Generate(f fault.Fault) (pattern.Vector, Status) {
-	e.target = f
-	for i := range e.piVal {
-		e.piVal[i] = logic.X
-	}
-	e.imply()
+	e.start(f)
 
 	type decision struct {
 		gate    int32
@@ -150,8 +163,8 @@ func (e *Engine) Generate(f fault.Fault) (pattern.Vector, Status) {
 			// Backtrace can dead-end on an already-assigned input or a
 			// constant; treat that like an infeasible state.
 			if e.c.Gates[pi].Type == netlist.Input && !e.piVal[pi].Known() {
-				e.piVal[pi] = v
-				e.imply()
+				e.setPI(pi, v)
+				e.settle()
 				stack = append(stack, decision{gate: pi})
 				continue
 			}
@@ -169,50 +182,122 @@ func (e *Engine) Generate(f fault.Fault) (pattern.Vector, Status) {
 					return nil, Aborted
 				}
 				top.flipped = true
-				e.piVal[top.gate] = e.piVal[top.gate].Not()
+				e.setPI(top.gate, e.piVal[top.gate].Not())
 				break
 			}
-			e.piVal[top.gate] = logic.X
+			e.setPI(top.gate, logic.X)
 			stack = stack[:len(stack)-1]
 		}
-		e.imply()
+		e.settle()
 	}
+}
+
+// start targets fault f with every input X. The fault-free all-X state is
+// copied in and only the fault site is re-evaluated: every other
+// difference from it lies in the site's fanout cone, which settle reaches.
+// Events left pending by an early return from the previous Generate are
+// settled against this fresh state, which re-evaluates them harmlessly.
+func (e *Engine) start(f fault.Fault) {
+	e.target = f
+	for i := range e.piVal {
+		e.piVal[i] = logic.X
+	}
+	copy(e.val, e.freeVal)
+	e.schedule(f.Gate)
+	e.settle()
+}
+
+// setPI assigns a primary input and schedules it for settle.
+func (e *Engine) setPI(g int32, v logic.Value) {
+	e.piVal[g] = v
+	e.schedule(g)
+}
+
+// schedule queues gate g for re-evaluation by settle.
+func (e *Engine) schedule(g int32) {
+	if e.queued[g] {
+		return
+	}
+	e.queued[g] = true
+	l := e.c.Level(g)
+	e.bucket[l] = append(e.bucket[l], g)
+	e.lo, e.hi = min(e.lo, l), max(e.hi, l)
+}
+
+// settle re-evaluates the scheduled gates level by level, scheduling the
+// fanout of every gate whose value changes. A gate's fanins all sit at
+// lower levels, so each gate is evaluated at most once, after its inputs
+// are final. Five-valued values are a pure function of the input
+// assignment, so the result equals a full imply.
+func (e *Engine) settle() {
+	for l := e.lo; l <= e.hi; l++ {
+		for _, g := range e.bucket[l] {
+			e.queued[g] = false
+			if v := e.evalGate(g); v != e.val[g] {
+				e.val[g] = v
+				for _, s := range e.c.Fanout(g) {
+					e.schedule(s)
+				}
+			}
+		}
+		e.bucket[l] = e.bucket[l][:0]
+	}
+	e.lo, e.hi = int32(len(e.bucket)), -1
 }
 
 // imply recomputes the five-valued value of every gate from the current PI
-// assignment, injecting the target fault.
+// assignment, injecting the target fault. It builds the fault-free all-X
+// state, and is the reference settle must agree with.
 func (e *Engine) imply() {
-	f := e.target
-	stuckFaulty := logic.FromBit(uint64(f.Stuck))
 	for _, g := range e.c.Order() {
-		gate := &e.c.Gates[g]
-		var v logic.V5
-		switch gate.Type {
-		case netlist.Input:
-			v = logic.FromPair(e.piVal[g], e.piVal[g])
-		case netlist.Const0:
-			v = logic.Z5
-		case netlist.Const1:
-			v = logic.O5
-		default:
-			in := e.in[:len(gate.Fanin)]
-			for pin, d := range gate.Fanin {
-				pv := e.val[d]
-				if !f.IsStem() && f.Gate == g && int32(pin) == f.Pin {
-					pv = logic.FromPair(pv.Good(), stuckFaulty)
-				}
-				in[pin] = pv
-			}
-			v = eval5(gate.Type, in)
-		}
-		if f.IsStem() && f.Gate == g {
-			v = logic.FromPair(v.Good(), stuckFaulty)
-		}
-		e.val[g] = v
+		e.val[g] = e.evalGate(g)
 	}
 }
 
-// eval5 evaluates one gate in the five-valued calculus.
+// evalGate computes gate g's five-valued value from its fanin values (or,
+// for an input, its assignment), injecting the target fault.
+func (e *Engine) evalGate(g int32) logic.V5 {
+	f := e.target
+	gate := &e.c.Gates[g]
+	var v logic.V5
+	switch gate.Type {
+	case netlist.Input:
+		v = logic.FromPair(e.piVal[g], e.piVal[g])
+	case netlist.Const0:
+		v = logic.Z5
+	case netlist.Const1:
+		v = logic.O5
+	default:
+		in := e.in[:len(gate.Fanin)]
+		for pin, d := range gate.Fanin {
+			in[pin] = e.val[d]
+		}
+		if f.Gate == g && !f.IsStem() {
+			in[f.Pin] = logic.FromPair(in[f.Pin].Good(), logic.FromBit(uint64(f.Stuck)))
+		}
+		v = eval5(gate.Type, in)
+	}
+	if f.Gate == g && f.IsStem() {
+		v = logic.FromPair(v.Good(), logic.FromBit(uint64(f.Stuck)))
+	}
+	return v
+}
+
+// Five-valued AND, OR and XOR as lookup tables, built from the logic
+// package's definitions so the two cannot disagree.
+var and5, or5, xor5 = table5(logic.And5), table5(logic.Or5), table5(logic.Xor5)
+
+func table5(op func(a, b logic.V5) logic.V5) (t [5][5]logic.V5) {
+	for a := range t {
+		for b := range t[a] {
+			t[a][b] = op(logic.V5(a), logic.V5(b))
+		}
+	}
+	return t
+}
+
+// eval5 evaluates one gate in the five-valued calculus, folding its inputs
+// left to right.
 func eval5(t netlist.GateType, in []logic.V5) logic.V5 {
 	switch t {
 	case netlist.Buf:
@@ -222,7 +307,7 @@ func eval5(t netlist.GateType, in []logic.V5) logic.V5 {
 	case netlist.And, netlist.Nand:
 		v := logic.O5
 		for _, x := range in {
-			v = logic.And5(v, x)
+			v = and5[v][x]
 		}
 		if t == netlist.Nand {
 			v = v.Not5()
@@ -231,7 +316,7 @@ func eval5(t netlist.GateType, in []logic.V5) logic.V5 {
 	case netlist.Or, netlist.Nor:
 		v := logic.Z5
 		for _, x := range in {
-			v = logic.Or5(v, x)
+			v = or5[v][x]
 		}
 		if t == netlist.Nor {
 			v = v.Not5()
@@ -240,7 +325,7 @@ func eval5(t netlist.GateType, in []logic.V5) logic.V5 {
 	case netlist.Xor, netlist.Xnor:
 		v := logic.Z5
 		for _, x := range in {
-			v = logic.Xor5(v, x)
+			v = xor5[v][x]
 		}
 		if t == netlist.Xnor {
 			v = v.Not5()

@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -226,5 +227,72 @@ func TestRandomizedGenerationDiversity(t *testing.T) {
 	}
 	if len(distinct) < 2 {
 		t.Logf("only %d distinct cubes for %s; acceptable but unusual", len(distinct), target.Name(comb))
+	}
+}
+
+// TestImplyEventsMatchesFull drives the event-driven implication through
+// random input set/flip/unset steps, some batched before one settle the
+// way a backtrack unwinds several decisions, and checks every gate value
+// against a full imply after each settle. It covers stem, branch and
+// input faults, and miters: their constant lines make the fault-free
+// all-X state non-trivial, and with both faults on one output (stuck-at
+// 0 in one copy, 1 in the other) the miter output, which Distinguish
+// targets, is already 1 before any decision.
+func TestImplyEventsMatchesFull(t *testing.T) {
+	s208 := netlist.Combinationalize(gen.Profiles["s208"].MustGenerate(2))
+	sfaults := fault.Collapse(s208).Faults
+	pairMiter, err := BuildMiter(s208, sfaults[3], sfaults[len(sfaults)/2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	po := s208.POs[0]
+	constMiter, err := BuildMiter(s208, fault.Fault{Gate: po, Pin: fault.StemPin, Stuck: 0}, fault.Fault{Gate: po, Pin: fault.StemPin, Stuck: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	circuits := []*netlist.Circuit{
+		gen.C17(),
+		s208,
+		netlist.Combinationalize(gen.Profiles["s298"].MustGenerate(2)),
+		pairMiter,
+		constMiter,
+	}
+	r := rand.New(rand.NewSource(14))
+	for _, c := range circuits {
+		e := NewEngine(c)
+		faults := fault.Collapse(c).Faults
+		for _, o := range c.POs {
+			faults = append(faults, fault.Fault{Gate: o, Pin: fault.StemPin, Stuck: 0}, fault.Fault{Gate: o, Pin: fault.StemPin, Stuck: 1})
+		}
+		check := func(step string, f fault.Fault) {
+			t.Helper()
+			got := append([]logic.V5(nil), e.val...)
+			e.imply()
+			for g := range got {
+				if got[g] != e.val[g] {
+					t.Fatalf("%s, fault %s, %s: gate %s = %v, full imply %v",
+						c.Name, f.Name(c), step, c.Gates[g].Name, got[g], e.val[g])
+				}
+			}
+		}
+		for _, f := range faults {
+			e.start(f)
+			check("start", f)
+			for step := 0; step < 8; step++ {
+				for n := 1 + r.Intn(3); n > 0; n-- {
+					pi := c.PIs[r.Intn(len(c.PIs))]
+					switch r.Intn(3) {
+					case 0: // set
+						e.setPI(pi, logic.FromBit(uint64(r.Intn(2))))
+					case 1: // flip
+						e.setPI(pi, e.piVal[pi].Not())
+					default: // unset
+						e.setPI(pi, logic.X)
+					}
+				}
+				e.settle()
+				check(fmt.Sprintf("step %d", step), f)
+			}
+		}
 	}
 }

@@ -18,8 +18,15 @@ import (
 // This is the complete decision procedure behind the SAT fallback for
 // pair distinguishing: structural PODEM aborts become definitive answers.
 func SolveOutputOne(c *netlist.Circuit, target int32, conflictBudget int64) (pattern.Vector, Status, error) {
+	vec, status, _, err := solveOutputOne(c, target, conflictBudget)
+	return vec, status, err
+}
+
+// solveOutputOne is SolveOutputOne, also returning the solver's conflict
+// count.
+func solveOutputOne(c *netlist.Circuit, target int32, conflictBudget int64) (pattern.Vector, Status, int64, error) {
 	if len(c.DFFs) != 0 {
-		return nil, Aborted, fmt.Errorf("atpg: SAT solving requires a combinational circuit")
+		return nil, Aborted, 0, fmt.Errorf("atpg: SAT solving requires a combinational circuit")
 	}
 	// Collect the fanin cone of the target.
 	inCone := make([]bool, len(c.Gates))
@@ -116,11 +123,13 @@ func SolveOutputOne(c *netlist.Circuit, target int32, conflictBudget int64) (pat
 	}
 
 	s.AddClause(lit(target, false))
-	switch s.Solve(conflictBudget) {
+	result := s.Solve(conflictBudget)
+	_, conflicts := s.Stats()
+	switch result {
 	case sat.Unsat:
-		return nil, Untestable, nil
+		return nil, Untestable, conflicts, nil
 	case sat.Unknown:
-		return nil, Aborted, nil
+		return nil, Aborted, conflicts, nil
 	}
 	view := netlist.NewScanView(c)
 	vec := make(pattern.Vector, view.NumInputs())
@@ -131,7 +140,31 @@ func SolveOutputOne(c *netlist.Circuit, target int32, conflictBudget int64) (pat
 		}
 		vec[slot] = logic.FromBit(boolToBit(s.Value(varOf[g])))
 	}
-	return vec, Success, nil
+	return vec, Success, conflicts, nil
+}
+
+// solveMiter solves for the miter's output and re-simulates a Success
+// model on the original circuit with holds (VectorDetects or
+// Distinguishes for the miter's faults). A model that fails the check is
+// returned as Aborted with mismatch set, so a solver or encoder bug costs
+// a test instead of shaping a dictionary. The model's X inputs lie outside
+// the miter's cone, so the check fills them with 0 without affecting its
+// verdict.
+func solveMiter(miter *netlist.Circuit, budget int64, holds func(pattern.Vector) bool) (cube pattern.Vector, status Status, mismatch bool, err error) {
+	cube, status, err = SolveOutputOne(miter, miter.POs[0], budget)
+	if err != nil || status != Success {
+		return cube, status, false, err
+	}
+	filled := cube.Clone()
+	for i, v := range filled {
+		if v == logic.X {
+			filled[i] = logic.Zero
+		}
+	}
+	if !holds(filled) {
+		return nil, Aborted, true, nil
+	}
+	return cube, Success, false, nil
 }
 
 func boolToBit(b bool) uint64 {

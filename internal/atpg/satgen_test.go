@@ -182,3 +182,57 @@ func TestSATConstantCone(t *testing.T) {
 		t.Fatalf("constant-0 target reported %v, want untestable", status)
 	}
 }
+
+// TestSolveMiterRejectsFailingModel: a model the re-simulation refuses is
+// reported as Aborted with the mismatch flagged, and a model that passes
+// is returned unchanged.
+func TestSolveMiterRejectsFailingModel(t *testing.T) {
+	c := gen.C17()
+	f := fault.Collapse(c).Faults[0]
+	miter, err := BuildDetectionMiter(c, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	never := func(pattern.Vector) bool { return false }
+	if cube, status, mismatch, err := solveMiter(miter, 0, never); err != nil || status != Aborted || !mismatch || cube != nil {
+		t.Fatalf("refused model: cube %v status %v mismatch %v err %v, want nil Aborted true nil", cube, status, mismatch, err)
+	}
+	detects := func(v pattern.Vector) bool { return VectorDetects(c, f, v) }
+	cube, status, mismatch, err := solveMiter(miter, 0, detects)
+	if err != nil || status != Success || mismatch {
+		t.Fatalf("checked model: status %v mismatch %v err %v, want Success false nil", status, mismatch, err)
+	}
+	want, _, _ := SolveOutputOne(miter, miter.POs[0], 0)
+	if cube.Key() != want.Key() {
+		t.Fatalf("checked model %s differs from the solver's %s", cube, want)
+	}
+}
+
+// TestSATModelsResimulate runs detection and diagnostic generation as the
+// pipeline does for s27, s208 and s298 diagnostic rows (seed 1) and
+// requires every SAT model to have passed re-simulation.
+func TestSATModelsResimulate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full diagnostic generation")
+	}
+	satCalls := 0
+	for _, name := range []string{"s27", "s208", "s298"} {
+		comb := netlist.Combinationalize(gen.Profiles[name].MustGenerate(2))
+		faults := fault.Collapse(comb).Faults
+		cfg := DefaultConfig(1)
+		cfg.Seed = 3
+		cfg.Compact = true
+		base, st := GenerateDetection(comb, faults, cfg)
+		dcfg := DefaultDiagConfig()
+		dcfg.Seed = 4
+		dcfg.MaxMiterCalls = 3000
+		_, dst := GenerateDiagnostic(comb, faults, base, dcfg)
+		if st.ModelMismatches != 0 || dst.ModelMismatches != 0 {
+			t.Errorf("%s: %d detection and %d diagnostic SAT models failed re-simulation", name, st.ModelMismatches, dst.ModelMismatches)
+		}
+		satCalls += dst.SATCalls
+	}
+	if satCalls == 0 {
+		t.Fatal("no SAT call ran; the check exercised nothing")
+	}
+}

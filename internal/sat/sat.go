@@ -64,6 +64,7 @@ type clause struct {
 	lits    []Lit
 	learned bool
 	deleted bool
+	locked  bool // reduceDB scratch: the reason of a current assignment
 }
 
 // Solver is a CDCL SAT solver. Create with NewSolver, add clauses, then
@@ -72,11 +73,13 @@ type Solver struct {
 	clauses []*clause
 	watches [][]*clause // literal -> clauses watching it
 
-	assign []int8  // per variable: lTrue/lFalse/lUndef
-	level  []int32 // decision level of the assignment
+	vals   []int8  // per literal: lTrue/lFalse/lUndef
+	level  []int32 // per variable: decision level of the assignment
 	reason []*clause
 	trail  []Lit
-	lim    []int // trail indices at each decision level
+	qhead  int    // trail[:qhead] is propagated; see propagate
+	lim    []int  // trail indices at each decision level
+	seen   []bool // per variable: analyze scratch, all false between calls
 
 	activity  []float64
 	varInc    float64
@@ -94,9 +97,10 @@ type Solver struct {
 func NewSolver(numVars int) *Solver {
 	s := &Solver{
 		watches:    make([][]*clause, 2*numVars),
-		assign:     make([]int8, numVars),
+		vals:       make([]int8, 2*numVars),
 		level:      make([]int32, numVars),
 		reason:     make([]*clause, numVars),
+		seen:       make([]bool, numVars),
 		activity:   make([]float64, numVars),
 		phase:      make([]int8, numVars),
 		varInc:     1,
@@ -109,30 +113,25 @@ func NewSolver(numVars int) *Solver {
 }
 
 // NumVars returns the variable count.
-func (s *Solver) NumVars() int { return len(s.assign) }
+func (s *Solver) NumVars() int { return len(s.level) }
 
 // AddVar appends a fresh variable and returns its index.
 func (s *Solver) AddVar() int {
-	v := len(s.assign)
-	s.assign = append(s.assign, lUndef)
+	v := len(s.level)
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, nil)
+	s.seen = append(s.seen, false)
 	s.activity = append(s.activity, 0)
 	s.phase = append(s.phase, lFalse)
 	s.watches = append(s.watches, nil, nil)
 	return v
 }
 
-func (s *Solver) litValue(l Lit) int8 {
-	v := s.assign[l.Var()]
-	if v == lUndef {
-		return lUndef
-	}
-	if l.Neg() {
-		return -v
-	}
-	return v
-}
+func (s *Solver) litValue(l Lit) int8 { return s.vals[l] }
+
+// varValue returns the value of variable v (its positive literal).
+func (s *Solver) varValue(v int) int8 { return s.vals[v<<1] }
 
 // AddClause adds a clause (given at decision level 0). Duplicate literals
 // are removed; tautologies are ignored. Returns false if the formula is
@@ -205,45 +204,57 @@ func (s *Solver) enqueue(l Lit, from *clause) bool {
 		return false
 	}
 	v := l.Var()
-	if l.Neg() {
-		s.assign[v] = lFalse
-	} else {
-		s.assign[v] = lTrue
-	}
+	s.vals[l] = lTrue
+	s.vals[l.Not()] = lFalse
 	s.level[v] = int32(len(s.lim))
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
 	return true
 }
 
-// propagate performs unit propagation; it returns the conflicting clause
-// or nil.
+// propagate performs unit propagation of the trail from qhead on; it
+// returns the conflicting clause or nil.
+//
+// Every literal below qhead has been propagated: each clause on its watch
+// list has its other watch true, and that holds until a backtrack removes
+// the literal. So a later call resumes at qhead instead of re-walking the
+// whole trail. A conflict leaves qhead at the literal whose watch list
+// found it. The backtrack that follows removes that literal's decision
+// level, and cancelUntil pulls qhead back to the new trail end; without
+// one (Solve returning Unknown or Unsat), a further Solve meets the same
+// conflict again.
 func (s *Solver) propagate() *clause {
-	for qhead := 0; qhead < len(s.trail); qhead++ {
-		p := s.trail[qhead]
+	vals := s.vals
+	for ; s.qhead < len(s.trail); s.qhead++ {
+		p := s.trail[s.qhead]
+		falseLit := p.Not()
 		s.propagations++
-		// Clauses watching ¬p must find a new watch or propagate.
+		// Clauses watching ¬p must find a new watch or propagate. The
+		// watchers that stay are compacted to the front of ws.
 		ws := s.watches[p]
-		kept := ws[:0]
+		kept := 0
 		for wi := 0; wi < len(ws); wi++ {
 			c := ws[wi]
 			if c.deleted {
 				continue // lazily dropped from the watch list
 			}
-			// Ensure lits[1] is the false literal (¬p ... p.Not()).
-			if c.lits[0] == p.Not() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			lits := c.lits
+			// Ensure lits[1] is the false literal ¬p.
+			if lits[0] == falseLit {
+				lits[0], lits[1] = lits[1], falseLit
 			}
-			if s.litValue(c.lits[0]) == lTrue {
-				kept = append(kept, c)
+			if vals[lits[0]] == lTrue {
+				ws[kept] = c
+				kept++
 				continue
 			}
 			// Look for a new literal to watch.
 			found := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.litValue(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], c)
+			for k := 2; k < len(lits); k++ {
+				if vals[lits[k]] != lFalse {
+					lits[1], lits[k] = lits[k], falseLit
+					w := lits[1].Not()
+					s.watches[w] = append(s.watches[w], c)
 					found = true
 					break
 				}
@@ -252,15 +263,16 @@ func (s *Solver) propagate() *clause {
 				continue
 			}
 			// Unit or conflicting.
-			kept = append(kept, c)
-			if !s.enqueue(c.lits[0], c) {
+			ws[kept] = c
+			kept++
+			if !s.enqueue(lits[0], c) {
 				// Conflict: keep the remaining watchers and report.
-				kept = append(kept, ws[wi+1:]...)
-				s.watches[p] = kept
+				kept += copy(ws[kept:], ws[wi+1:])
+				s.watches[p] = ws[:kept]
 				return c
 			}
 		}
-		s.watches[p] = kept
+		s.watches[p] = ws[:kept]
 	}
 	return nil
 }
@@ -279,22 +291,19 @@ func (s *Solver) bumpVar(v int) {
 // it with the backtrack level.
 func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 	learned := []Lit{0} // slot 0 reserved for the asserting literal
-	seen := make(map[int]bool)
+	seen := s.seen
 	counter := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
 	curLevel := int32(len(s.lim))
 
-	reasonLits := func(c *clause, skip Lit) []Lit {
-		if skip < 0 {
-			return c.lits
-		}
-		return c.lits[1:] // lits[0] is the asserting literal of the reason
-	}
-
 	c := confl
 	for {
-		for _, q := range reasonLits(c, p) {
+		lits := c.lits
+		if p >= 0 {
+			lits = lits[1:] // lits[0] is the asserting literal of the reason
+		}
+		for _, q := range lits {
 			v := q.Var()
 			if seen[v] || s.level[v] == 0 {
 				continue
@@ -321,6 +330,10 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 		c = s.reason[p.Var()]
 	}
 	learned[0] = p.Not()
+	// Every current-level mark was consumed above; clear the rest.
+	for _, l := range learned[1:] {
+		seen[l.Var()] = false
+	}
 
 	// Backtrack level: the highest level among the other literals.
 	back := 0
@@ -346,12 +359,15 @@ func (s *Solver) cancelUntil(level int) {
 	}
 	bound := s.lim[level]
 	for i := len(s.trail) - 1; i >= bound; i-- {
-		v := s.trail[i].Var()
-		s.phase[v] = s.assign[v]
-		s.assign[v] = lUndef
+		l := s.trail[i]
+		v := l.Var()
+		s.phase[v] = s.varValue(v)
+		s.vals[l] = lUndef
+		s.vals[l.Not()] = lUndef
 		s.reason[v] = nil
 	}
 	s.trail = s.trail[:bound]
+	s.qhead = min(s.qhead, bound)
 	s.lim = s.lim[:level]
 }
 
@@ -359,9 +375,10 @@ func (s *Solver) cancelUntil(level int) {
 func (s *Solver) decide() (Lit, bool) {
 	best := -1
 	var bestAct float64 = -1
-	for v := 0; v < len(s.assign); v++ {
-		if s.assign[v] == lUndef && s.activity[v] > bestAct {
-			best, bestAct = v, s.activity[v]
+	vals := s.vals
+	for v, act := range s.activity {
+		if act > bestAct && vals[v<<1] == lUndef {
+			best, bestAct = v, act
 		}
 	}
 	if best < 0 {
@@ -371,11 +388,16 @@ func (s *Solver) decide() (Lit, bool) {
 }
 
 // Solve runs the CDCL loop with the given conflict budget (0 = default of
-// one million conflicts). On Sat, Value reports the model.
+// 2^20 conflicts). On Sat, Value reports the model. The budget counts the
+// solver's conflicts so far, and a further Solve, say after Unknown,
+// restarts from the root keeping the learned clauses and activities.
 func (s *Solver) Solve(conflictBudget int64) Result {
 	if s.unsatable {
 		return Unsat
 	}
+	// An Unknown return leaves a conflict unanalyzed above the root; the
+	// root check below must not mistake it for a contradiction.
+	s.cancelUntil(0)
 	if conflictBudget <= 0 {
 		conflictBudget = 1 << 20
 	}
@@ -434,18 +456,14 @@ func (s *Solver) Solve(conflictBudget int64) Result {
 // current assignments excepted), keeping propagation fast on long runs.
 // Deleted clauses are dropped lazily from the watch lists.
 func (s *Solver) reduceDB() {
-	locked := make(map[*clause]bool, len(s.trail))
-	for _, l := range s.trail {
-		if r := s.reason[l.Var()]; r != nil {
-			locked[r] = true
-		}
-	}
+	s.markReasons(true)
 	var learned []*clause
 	for _, c := range s.clauses {
-		if c.learned && !c.deleted && !locked[c] {
+		if c.learned && !c.deleted && !c.locked {
 			learned = append(learned, c)
 		}
 	}
+	s.markReasons(false)
 	// Longer learned clauses are weaker; delete the worse half.
 	sortClausesByLenDesc(learned)
 	for _, c := range learned[:len(learned)/2] {
@@ -462,12 +480,26 @@ func (s *Solver) reduceDB() {
 	s.maxLearned += s.maxLearned / 10
 }
 
+// markReasons sets or clears the locked flag of every reason clause of
+// the trail.
+func (s *Solver) markReasons(locked bool) {
+	for _, l := range s.trail {
+		if r := s.reason[l.Var()]; r != nil {
+			r.locked = locked
+		}
+	}
+}
+
+// sortClausesByLenDesc orders learned clauses longest first. sort.Slice is
+// not stable, so the input order decides which equal-length clauses are
+// deleted: changing either is a change to the search.
 func sortClausesByLenDesc(cs []*clause) {
 	sort.Slice(cs, func(i, j int) bool { return len(cs[i].lits) > len(cs[j].lits) })
 }
 
 // Value returns the model value of variable v after Solve returned Sat.
-func (s *Solver) Value(v int) bool { return s.assign[v] == lTrue }
+func (s *Solver) Value(v int) bool { return s.varValue(v) == lTrue }
 
-// Stats returns (propagations, conflicts) counters.
+// Stats returns (propagations, conflicts) counters. Propagations counts
+// trail literals whose watch lists were walked, each once per assignment.
 func (s *Solver) Stats() (int64, int64) { return s.propagations, s.conflicts }

@@ -1,8 +1,12 @@
 package sat
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"sddict/internal/fault"
+	"sddict/internal/netlist"
 )
 
 func TestLitBasics(t *testing.T) {
@@ -135,81 +139,119 @@ func TestPigeonExactFitSat(t *testing.T) {
 
 // TestRandomCNFMatchesBruteForce cross-validates the solver against
 // exhaustive enumeration on small random 3-CNF instances, both
-// satisfiable and unsatisfiable.
+// satisfiable and unsatisfiable. FuzzSolveMatchesBruteForce explores the
+// same check beyond these fixed draws.
 func TestRandomCNFMatchesBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(55))
 	for trial := 0; trial < 400; trial++ {
 		nv := 3 + r.Intn(10)
 		nc := 2 + r.Intn(6*nv)
-		type cl []Lit
-		clauses := make([]cl, nc)
-		for i := range clauses {
-			width := 1 + r.Intn(3)
-			c := make(cl, width)
-			for k := range c {
-				c[k] = MkLit(r.Intn(nv), r.Intn(2) == 0)
-			}
-			clauses[i] = c
-		}
-		// Brute force.
-		want := false
-		var model uint32
-		for m := uint32(0); m < 1<<uint(nv); m++ {
-			ok := true
-			for _, c := range clauses {
-				sat := false
-				for _, l := range c {
-					bit := m>>uint(l.Var())&1 == 1
-					if bit != l.Neg() {
-						sat = true
-						break
-					}
-				}
-				if !sat {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				want = true
-				model = m
-				break
-			}
-		}
-		_ = model
-		s := NewSolver(nv)
-		for _, c := range clauses {
-			s.AddClause([]Lit(c)...)
-		}
-		got := s.Solve(0)
-		if want && got != Sat {
-			t.Fatalf("trial %d: solver says %v, brute force says sat", trial, got)
-		}
-		if !want && got != Unsat {
-			t.Fatalf("trial %d: solver says %v, brute force says unsat", trial, got)
-		}
-		if got == Sat {
-			// The returned model must satisfy every clause.
-			for ci, c := range clauses {
-				ok := false
-				for _, l := range c {
-					if s.Value(l.Var()) != l.Neg() {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					t.Fatalf("trial %d: model violates clause %d", trial, ci)
-				}
-			}
-		}
+		checkBruteForce(t, fmt.Sprintf("trial %d", trial), randomCNF(r, nv, nc, 1, 3))
 	}
+}
+
+// maxFuzzVars bounds fuzzed formulas so brute force stays cheap.
+const maxFuzzVars = 14
+
+// decodeFuzzCNF reads a fuzz input: the first byte picks 1..maxFuzzVars
+// variables, each later byte is a literal (variable b>>1 modulo the
+// count, negated when b is odd), and 0xff closes a clause.
+func decodeFuzzCNF(data []byte) cnf {
+	f := cnf{vars: 1 + int(data[0])%maxFuzzVars}
+	var c []Lit
+	for _, b := range data[1:] {
+		if b == 0xff {
+			f.add(c...)
+			c = nil
+			continue
+		}
+		c = append(c, MkLit(int(b>>1)%f.vars, b&1 == 1))
+	}
+	if len(c) > 0 {
+		f.add(c...)
+	}
+	return f
+}
+
+// encodeFuzzCNF is the inverse of decodeFuzzCNF.
+func encodeFuzzCNF(f cnf) []byte {
+	if f.vars > maxFuzzVars {
+		panic(fmt.Sprintf("encodeFuzzCNF: %d variables, at most %d encode", f.vars, maxFuzzVars))
+	}
+	data := []byte{byte(f.vars - 1)}
+	for _, c := range f.clauses {
+		for _, l := range c {
+			data = append(data, byte(l))
+		}
+		data = append(data, 0xff)
+	}
+	return data
+}
+
+// tinyCircuit is a three-input, three-gate circuit whose miters fit under
+// maxFuzzVars.
+func tinyCircuit() *netlist.Circuit {
+	b := netlist.NewBuilder("tiny")
+	a, x, y := b.Input("a"), b.Input("b"), b.Input("c")
+	n1 := b.Gate(netlist.Nand, "n1", a, x)
+	n2 := b.Gate(netlist.Nor, "n2", n1, y)
+	n3 := b.Gate(netlist.Xor, "n3", a, n2)
+	b.Output(n2)
+	b.Output(n3)
+	return b.MustBuild()
+}
+
+// FuzzSolveMatchesBruteForce checks the solver's verdict against brute
+// force and its model against every clause on arbitrary small formulas,
+// seeded with TestRandomCNFMatchesBruteForce's shapes and with detection
+// and pair miters of a tiny circuit.
+func FuzzSolveMatchesBruteForce(f *testing.F) {
+	r := rand.New(rand.NewSource(55))
+	for i := 0; i < 8; i++ {
+		nv := 3 + r.Intn(10)
+		f.Add(encodeFuzzCNF(randomCNF(r, nv, 2+r.Intn(6*nv), 1, 3)))
+	}
+	c := tinyCircuit()
+	n1sa0 := fault.Fault{Gate: c.GateByName("n1"), Pin: fault.StemPin, Stuck: 0}
+	n2pin := fault.Fault{Gate: c.GateByName("n2"), Pin: 1, Stuck: 1}
+	n3sa1 := fault.Fault{Gate: c.GateByName("n3"), Pin: fault.StemPin, Stuck: 1}
+	f.Add(encodeFuzzCNF(miterCNF(c, nil, &n1sa0)))
+	f.Add(encodeFuzzCNF(miterCNF(c, nil, &n2pin)))
+	f.Add(encodeFuzzCNF(miterCNF(c, &n1sa0, &n3sa1)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 1024 {
+			t.Skip()
+		}
+		checkBruteForce(t, "fuzz", decodeFuzzCNF(data))
+	})
 }
 
 func TestConflictBudget(t *testing.T) {
 	s := pigeonhole(8) // hard enough to exceed a tiny budget
 	if got := s.Solve(5); got != Unknown {
 		t.Fatalf("Solve with 5-conflict budget = %v, want unknown", got)
+	}
+}
+
+// TestSolveResumesAfterBudgetOut: a Solve that runs out of budget stops
+// mid-search; a later Solve on the same solver must still reach the
+// correct verdict.
+func TestSolveResumesAfterBudgetOut(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	resumed := 0
+	for trial := 0; trial < 300; trial++ {
+		nv := 12 + r.Intn(3)
+		f := randomCNF(r, nv, nv*4+r.Intn(nv/2), 3, 3)
+		s := newSolverFor(f)
+		got := s.Solve(1 + int64(r.Intn(4)))
+		if got == Unknown {
+			resumed++
+			got = s.Solve(0)
+		}
+		checkVerdict(t, fmt.Sprintf("trial %d", trial), f, s, got)
+	}
+	if resumed == 0 {
+		t.Fatal("no Solve ran out of budget; the test exercised nothing")
 	}
 }
 
