@@ -37,11 +37,13 @@ lint-fix-check:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz passes over the .bench parser and the SAT solver (verdict
-# against brute force, model against every clause); CI-friendly budget.
+# Short fuzz passes over the .bench parser, the SAT solver (verdict
+# against brute force, model against every clause) and the hashed circuit
+# encoder (verdict against exhaustive simulation); CI-friendly budget.
 fuzz:
 	$(GO) test -run=FuzzParse -fuzz=FuzzParse -fuzztime=30s ./internal/bench/
 	$(GO) test -run=FuzzSolveMatchesBruteForce -fuzz=FuzzSolveMatchesBruteForce -fuzztime=30s ./internal/sat/
+	$(GO) test -run=FuzzSolveOutputOneMatchesExhaustive -fuzz=FuzzSolveOutputOneMatchesExhaustive -fuzztime=30s ./internal/atpg/
 
 # Parallel-layer benchmarks (restart search, fault-sim sharding, sweep
 # rows) at workers=1 vs N plus the partition scan/refine microbenchmarks

@@ -98,7 +98,7 @@ func TestBuildSameDiffMultiWorkersIdentical(t *testing.T) {
 		restarts               int
 	}{
 		"s27":  {indistFinal: 7, candEvals: 1480, restarts: 10},
-		"s208": {indistFinal: 80, candEvals: 13311, restarts: 1},
+		"s208": {indistFinal: 80, candEvals: 13305, restarts: 1},
 	}
 	for _, prof := range detProfiles {
 		pr := prepareDet(t, prof.name, prof.tt)

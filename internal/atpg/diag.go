@@ -16,10 +16,14 @@ import (
 type DiagConfig struct {
 	// Seed drives random fills and PODEM diversification.
 	Seed int64
-	// BacktrackLimit is the per-pair miter-PODEM backtrack budget.
+	// BacktrackLimit is the PODEM backtrack budget of the quick
+	// per-fault distinguishing attempts, and of miter PODEM unless
+	// RetryBacktrackLimit is larger.
 	BacktrackLimit int
-	// RetryBacktrackLimit is a second, larger budget tried once when the
-	// first attempt aborts; 0 disables the retry.
+	// RetryBacktrackLimit, when larger than BacktrackLimit, is the
+	// miter-PODEM backtrack budget per pair. Miter PODEM is deterministic
+	// and a limit only truncates its search, so one run at this limit
+	// answers as a run at BacktrackLimit retried at this limit would.
 	RetryBacktrackLimit int
 	// MaxRounds bounds the refine/distinguish iterations.
 	MaxRounds int
@@ -67,6 +71,9 @@ type DiagStats struct {
 	Rounds      int
 	MiterCalls  int
 	SATCalls    int // SAT fallback invocations
+	// SATConflicts sums the solver conflicts of every SAT call, a
+	// deterministic measure of the SAT work.
+	SATConflicts int64
 	// ModelMismatches counts SAT models that failed re-simulation on the
 	// circuit; each was treated as Aborted. It stays 0 unless the solver
 	// or the miter encoding is wrong.
@@ -283,10 +290,11 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 			}
 			stats.SATCalls++
 			detects := func(v pattern.Vector) bool { return VectorDetects(c, faults[i], v) }
-			v, status, mismatch, err := solveMiter(miter, cfg.SATConflictBudget, detects)
+			v, status, conflicts, mismatch, err := solveMiter(miter, cfg.SATConflictBudget, detects)
 			if err != nil {
 				continue
 			}
+			stats.SATConflicts += conflicts
 			if mismatch {
 				stats.ModelMismatches++
 			}
@@ -311,6 +319,7 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 		stats.AddedTests += fresh.Len()
 	}
 
+	miterLimit := max(cfg.BacktrackLimit, cfg.RetryBacktrackLimit)
 	for round := 0; round < cfg.MaxRounds && budget() && !stats.Interrupted; round++ {
 		if ctx.Err() != nil {
 			stats.Interrupted = true
@@ -355,27 +364,28 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 						break pairLoop
 					}
 					stats.MiterCalls++
-					cube, status, err := DistinguishCtx(ctx, c, faults[a], faults[b], cfg.BacktrackLimit)
-					if err == nil && status == Aborted && ctx.Err() == nil && cfg.RetryBacktrackLimit > cfg.BacktrackLimit {
-						cube, status, err = DistinguishCtx(ctx, c, faults[a], faults[b], cfg.RetryBacktrackLimit)
+					var cube pattern.Vector
+					status := Aborted
+					miter, err := BuildMiter(c, faults[a], faults[b])
+					if err == nil {
+						cube, status = distinguishMiter(ctx, miter, miterLimit)
 					}
 					if err == nil && status == Aborted && cfg.SATConflictBudget > 0 && satUseless < 5 &&
 						(cfg.MaxSATCalls == 0 || stats.SATCalls < cfg.MaxSATCalls) {
-						// Complete fallback: Tseitin-encode the miter.
-						if miter, merr := BuildMiter(c, faults[a], faults[b]); merr == nil {
-							distinguishes := func(v pattern.Vector) bool { return Distinguishes(c, faults[a], faults[b], v) }
-							if v, sstatus, mismatch, serr := solveMiter(miter, cfg.SATConflictBudget, distinguishes); serr == nil {
-								stats.SATCalls++
-								if mismatch {
-									stats.ModelMismatches++
-								}
-								if sstatus == Aborted {
-									satUseless++
-								} else {
-									satUseless = 0
-								}
-								cube, status = v, sstatus
+						// Complete fallback: Tseitin-encode the same miter.
+						distinguishes := func(v pattern.Vector) bool { return Distinguishes(c, faults[a], faults[b], v) }
+						if v, sstatus, conflicts, mismatch, serr := solveMiter(miter, cfg.SATConflictBudget, distinguishes); serr == nil {
+							stats.SATCalls++
+							stats.SATConflicts += conflicts
+							if mismatch {
+								stats.ModelMismatches++
 							}
+							if sstatus == Aborted {
+								satUseless++
+							} else {
+								satUseless = 0
+							}
+							cube, status = v, sstatus
 						}
 					}
 					switch {

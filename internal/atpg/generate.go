@@ -63,6 +63,9 @@ type GenStats struct {
 	// circuit; each was treated as Aborted. It stays 0 unless the solver
 	// or the miter encoding is wrong.
 	ModelMismatches int
+	// SATConflicts sums the solver conflicts of every SAT fallback call, a
+	// deterministic measure of the SAT work.
+	SATConflicts int64
 	// Interrupted is set when generation stopped early on context
 	// cancellation or deadline; the returned test set is valid but may
 	// leave faults short of their detection targets.
@@ -226,8 +229,9 @@ func GenerateDetectionCtx(ctx context.Context, c *netlist.Circuit, faults []faul
 				// procedure on the detection miter.
 				if miter, merr := BuildDetectionMiter(c, faults[fi]); merr == nil {
 					detects := func(v pattern.Vector) bool { return VectorDetects(c, faults[fi], v) }
-					if v, sstatus, mismatch, serr := solveMiter(miter, cfg.SATConflictBudget, detects); serr == nil {
+					if v, sstatus, conflicts, mismatch, serr := solveMiter(miter, cfg.SATConflictBudget, detects); serr == nil {
 						cube, status = v, sstatus
+						stats.SATConflicts += conflicts
 						if mismatch {
 							stats.ModelMismatches++
 						}

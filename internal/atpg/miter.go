@@ -122,15 +122,22 @@ func DistinguishCtx(ctx context.Context, c *netlist.Circuit, fa, fb fault.Fault,
 	if err != nil {
 		return nil, Aborted, err
 	}
+	cube, status := distinguishMiter(ctx, m, backtrackLimit)
+	return cube, status, nil
+}
+
+// distinguishMiter runs PODEM on a built miter m, targeting stuck-at-0 on
+// its output. Miter PIs are ordered like the circuit's, so the cube maps
+// across directly; it is nil unless the status is Success.
+func distinguishMiter(ctx context.Context, m *netlist.Circuit, backtrackLimit int) (pattern.Vector, Status) {
 	e := NewEngine(m)
 	e.BacktrackLimit = backtrackLimit
 	e.SetContext(ctx)
 	cube, status := e.Generate(fault.Fault{Gate: m.POs[0], Pin: fault.StemPin, Stuck: 0})
 	if status != Success {
-		return nil, status, nil
+		return nil, status
 	}
-	// Miter PIs are ordered like c's PIs; the cube maps across directly.
-	return cube, Success, nil
+	return cube, Success
 }
 
 // Distinguishes verifies by simulation that the fully specified vector vec

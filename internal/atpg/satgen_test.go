@@ -194,11 +194,11 @@ func TestSolveMiterRejectsFailingModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	never := func(pattern.Vector) bool { return false }
-	if cube, status, mismatch, err := solveMiter(miter, 0, never); err != nil || status != Aborted || !mismatch || cube != nil {
+	if cube, status, _, mismatch, err := solveMiter(miter, 0, never); err != nil || status != Aborted || !mismatch || cube != nil {
 		t.Fatalf("refused model: cube %v status %v mismatch %v err %v, want nil Aborted true nil", cube, status, mismatch, err)
 	}
 	detects := func(v pattern.Vector) bool { return VectorDetects(c, f, v) }
-	cube, status, mismatch, err := solveMiter(miter, 0, detects)
+	cube, status, _, mismatch, err := solveMiter(miter, 0, detects)
 	if err != nil || status != Success || mismatch {
 		t.Fatalf("checked model: status %v mismatch %v err %v, want Success false nil", status, mismatch, err)
 	}
@@ -234,5 +234,33 @@ func TestSATModelsResimulate(t *testing.T) {
 	}
 	if satCalls == 0 {
 		t.Fatal("no SAT call ran; the check exercised nothing")
+	}
+}
+
+// TestSATConflictsS298Diag bounds the deterministic SAT work of the s298
+// diagnostic row at the pipeline's configuration (sdd seed 1): detection
+// fallbacks, redundancy screening and pair fallbacks together. Structural
+// hashing brought it from 36,565 conflicts to a few thousand; a change
+// that loses the hashing fails here.
+func TestSATConflictsS298Diag(t *testing.T) {
+	comb := netlist.Combinationalize(gen.Profiles["s298"].MustGenerate(2))
+	faults := fault.Collapse(comb).Faults
+	cfg := DefaultConfig(1)
+	cfg.Seed = 3
+	cfg.Compact = true
+	base, st := GenerateDetection(comb, faults, cfg)
+	dcfg := DefaultDiagConfig()
+	dcfg.Seed = 4
+	dcfg.MaxMiterCalls = 3000
+	_, dst := GenerateDiagnostic(comb, faults, base, dcfg)
+	if dst.SATCalls == 0 {
+		t.Fatal("no SAT call ran; the bound measured nothing")
+	}
+	if got := st.SATConflicts + dst.SATConflicts; got > 7000 {
+		t.Errorf("s298/diag SAT conflicts = %d (detection %d, diagnostic %d over %d calls), want <= 7000",
+			got, st.SATConflicts, dst.SATConflicts, dst.SATCalls)
+	} else {
+		t.Logf("s298/diag SAT conflicts = %d (detection %d, diagnostic %d over %d calls)",
+			got, st.SATConflicts, dst.SATConflicts, dst.SATCalls)
 	}
 }
