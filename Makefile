@@ -60,16 +60,17 @@ bench:
 	@rm -f bench_parallel.out
 	@echo "wrote BENCH_parallel.json"
 
-# Continuous bench regression gate: one quick iteration of the
+# Continuous bench regression gate: five short repeats of the
 # parallel-layer benchmarks, diffed against the checked-in baseline.
-# ns/op is a generous smoke gate (8x — the baseline was recorded on
-# different hardware and -benchtime=1x timings are noisy); the
-# deterministic custom metrics (cand_evals, ind_sd, restarts, ...) must
-# match the baseline exactly, which catches algorithmic drift on any
-# machine. -short drops the big circuits; their baseline rows report as
-# informational "missing" lines.
+# ns/op gates on the median of the repeats at a generous 8x (a smoke
+# gate for other hardware). Each repeat runs at least 200ms, so the
+# microbenchmarks reach steady state instead of timing one cold
+# iteration. The deterministic custom metrics (cand_evals, ind_sd,
+# restarts, ...) must match the baseline exactly in every repeat, which
+# catches algorithmic drift on any machine. -short drops the big
+# circuits; their baseline rows report as informational "missing" lines.
 bench-compare:
-	$(GO) test -run='^$$' -bench='$(BENCH_RE)' -benchtime=1x -count=1 -short -timeout=10m $(BENCH_PKGS) > bench_compare.out
+	$(GO) test -run='^$$' -bench='$(BENCH_RE)' -benchtime=200ms -count=5 -short -timeout=20m $(BENCH_PKGS) > bench_compare.out
 	$(GO) run ./cmd/benchjson -o bench_compare.json bench_compare.out
 	$(GO) run ./cmd/benchjson compare -ns-ratio 8 BENCH_parallel.json bench_compare.json
 	@rm -f bench_compare.out bench_compare.json

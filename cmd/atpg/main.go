@@ -1,6 +1,6 @@
 // Command atpg generates stuck-at test sets for a circuit and reports
 // coverage: plain detection sets, n-detection sets, and diagnostic test
-// sets with miter-based pair distinguishing.
+// sets whose fault pairs are distinguished by SAT on a two-fault miter.
 //
 // Usage:
 //
@@ -87,7 +87,7 @@ func run(ctx context.Context) error {
 		dcfg.Seed = *seed + 3
 		var dst atpg.DiagStats
 		tests, dst = atpg.GenerateDiagnosticCtx(ctx, comb, col.Faults, tests, dcfg)
-		fmt.Printf("diagnostic: +%d random +%d miter tests over %d rounds (%d miter calls); "+
+		fmt.Printf("diagnostic: +%d random +%d SAT tests over %d rounds (%d pair attempts); "+
 			"%d equivalent pairs, %d aborted, %d response-identical pairs remain\n",
 			dst.RandomTests, dst.AddedTests, dst.Rounds, dst.MiterCalls,
 			dst.Equivalent, dst.Aborted, dst.IndistPairs)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"sort"
 
 	"sddict/internal/cli"
 )
@@ -88,59 +89,92 @@ func (c *benchComparison) writeText(w io.Writer) error {
 
 // compareReports produces the comparison; pure so tests drive it
 // directly. Benchmark identity is the name (procs vary with the CI
-// machine's GOMAXPROCS and are not part of identity).
+// machine's GOMAXPROCS and are not part of identity). A name repeated in
+// a report (go test -count=N) is gated on the median of its ns/op, so one
+// noisy repeat neither fails nor passes the gate alone; every repeat's
+// deterministic metrics are checked against the baseline's first run.
 func compareReports(base, cur *Report, nsRatio, metricPct float64) *benchComparison {
 	c := &benchComparison{}
-	curByName := map[string]Benchmark{}
-	for _, b := range cur.Benchmarks {
-		curByName[b.Name] = b
-	}
-	baseNames := map[string]bool{}
+	baseNames, baseRuns := groupByName(base)
+	curNames, curRuns := groupByName(cur)
 
-	for _, bb := range base.Benchmarks {
-		baseNames[bb.Name] = true
-		cb, ok := curByName[bb.Name]
+	for _, name := range baseNames {
+		cruns, ok := curRuns[name]
 		if !ok {
-			c.addf(false, "%-40s missing from current run", bb.Name)
+			c.addf(false, "%-40s missing from current run", name)
 			continue
 		}
 		c.compared++
 
-		if nsRatio > 0 && bb.NsPerOp > 0 && cb.NsPerOp > bb.NsPerOp*nsRatio {
-			c.addf(true, "%-40s ns/op %.0f -> %.0f (%.1fx > %.1fx allowed)",
-				bb.Name, bb.NsPerOp, cb.NsPerOp, cb.NsPerOp/bb.NsPerOp, nsRatio)
+		bns, cns := medianNs(baseRuns[name]), medianNs(cruns)
+		if nsRatio > 0 && bns > 0 && cns > bns*nsRatio {
+			c.addf(true, "%-40s ns/op %.0f -> %.0f (median of %d; %.1fx > %.1fx allowed)",
+				name, bns, cns, len(cruns), cns/bns, nsRatio)
 		}
 
+		bb := baseRuns[name][0]
 		for _, unit := range sortedMetricKeys(bb.Metrics) {
 			bv := bb.Metrics[unit]
-			cv, ok := cb.Metrics[unit]
-			if !ok {
-				c.addf(true, "%-40s metric %s missing from current run", bb.Name, unit)
-				continue
-			}
-			if metricPct < 0 || bv == cv {
-				continue
-			}
-			driftPct := math.Inf(1)
-			if bv != 0 {
-				driftPct = math.Abs(cv-bv) / math.Abs(bv) * 100
-			}
-			if driftPct > metricPct {
-				c.addf(true, "%-40s %s %.6g -> %.6g (deterministic metric drifted %.2f%%)",
-					bb.Name, unit, bv, cv, driftPct)
+			for _, cb := range cruns {
+				cv, ok := cb.Metrics[unit]
+				if !ok {
+					c.addf(true, "%-40s metric %s missing from current run", name, unit)
+					break
+				}
+				if metricPct < 0 || bv == cv {
+					continue
+				}
+				driftPct := math.Inf(1)
+				if bv != 0 {
+					driftPct = math.Abs(cv-bv) / math.Abs(bv) * 100
+				}
+				if driftPct > metricPct {
+					c.addf(true, "%-40s %s %.6g -> %.6g (deterministic metric drifted %.2f%%)",
+						name, unit, bv, cv, driftPct)
+					break
+				}
 			}
 		}
 	}
 
-	for _, cb := range cur.Benchmarks {
-		if !baseNames[cb.Name] {
-			c.addf(false, "%-40s new (not in baseline)", cb.Name)
+	for _, name := range curNames {
+		if _, ok := baseRuns[name]; !ok {
+			c.addf(false, "%-40s new (not in baseline)", name)
 		}
 	}
 	if c.compared == 0 {
 		c.addf(true, "no benchmark names in common between baseline and current")
 	}
 	return c
+}
+
+// groupByName collects a report's runs per benchmark name, with the names
+// in first-appearance order.
+func groupByName(rep *Report) ([]string, map[string][]Benchmark) {
+	var names []string
+	runs := map[string][]Benchmark{}
+	for _, b := range rep.Benchmarks {
+		if _, ok := runs[b.Name]; !ok {
+			names = append(names, b.Name)
+		}
+		runs[b.Name] = append(runs[b.Name], b)
+	}
+	return names, runs
+}
+
+// medianNs is the median ns/op of one name's runs (the mean of the middle
+// two for an even count).
+func medianNs(runs []Benchmark) float64 {
+	ns := make([]float64, len(runs))
+	for i, b := range runs {
+		ns[i] = b.NsPerOp
+	}
+	sort.Float64s(ns)
+	n := len(ns)
+	if n%2 == 1 {
+		return ns[n/2]
+	}
+	return (ns[n/2-1] + ns[n/2]) / 2
 }
 
 func loadReport(path string) (*Report, error) {
@@ -160,10 +194,6 @@ func sortedMetricKeys(m map[string]float64) []string {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
+	sort.Strings(keys)
 	return keys
 }

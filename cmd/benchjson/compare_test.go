@@ -71,6 +71,38 @@ func TestCompareReportsDeterministicDrift(t *testing.T) {
 	}
 }
 
+func TestCompareReportsMedianOfRepeats(t *testing.T) {
+	base := report(bench("DistPerClass/member", 10e3, map[string]float64{"dist0": 7}))
+	repeats := func(ns ...float64) *Report {
+		r := report()
+		for _, v := range ns {
+			r.Benchmarks = append(r.Benchmarks, bench("DistPerClass/member", v, map[string]float64{"dist0": 7}))
+		}
+		return r
+	}
+	// One slow outlier among five repeats does not move the median.
+	if c := compareReports(base, repeats(9e3, 200e3, 11e3, 10e3, 12e3), 4.0, 0); c.regressions != 0 || c.compared != 1 {
+		t.Errorf("outlier repeat regressed: %+v", c.lines)
+	}
+	// A slowdown in most repeats does.
+	if c := compareReports(base, repeats(50e3, 60e3, 9e3, 55e3, 70e3), 4.0, 0); c.regressions != 1 {
+		t.Errorf("median 55us vs 10us must regress at 4x: %+v", c.lines)
+	}
+	// Even counts take the mean of the middle two: (30+50)/2 = 40us.
+	if c := compareReports(base, repeats(10e3, 30e3, 50e3, 90e3), 4.0, 0); c.regressions != 0 {
+		t.Errorf("median 40us must pass at 4x: %+v", c.lines)
+	}
+	if c := compareReports(base, repeats(10e3, 30e3, 60e3, 90e3), 4.0, 0); c.regressions != 1 {
+		t.Errorf("median 45us must regress at 4x: %+v", c.lines)
+	}
+	// A deterministic metric that drifts in any one repeat regresses once.
+	cur := repeats(10e3, 10e3, 10e3)
+	cur.Benchmarks[1].Metrics = map[string]float64{"dist0": 8}
+	if c := compareReports(base, cur, 4.0, 0); c.regressions != 1 {
+		t.Errorf("drift in one repeat must regress once: %+v", c.lines)
+	}
+}
+
 func TestCompareReportsMissingAndNew(t *testing.T) {
 	base := report(
 		bench("ParallelBuild/s526/workers=1", 1, map[string]float64{"ind_sd": 1}),

@@ -55,21 +55,49 @@ func TestC17ExhaustivePipeline(t *testing.T) {
 	if pf.Indistinguished() < fullInd {
 		t.Errorf("pass/fail beats full — impossible")
 	}
-	// Every functionally-equivalent pair must be confirmed by miter ATPG.
+	// Every pair's SAT verdict on its miter must agree with the exhaustive
+	// set, checked by reference simulation as well as through the full
+	// dictionary: a pair the exhaustive set leaves together is proven
+	// equivalent, and every other pair gets a test that distinguishes it.
 	p := full.Partition()
 	for i := 0; i < m.N; i++ {
 		for j := i + 1; j < m.N; j++ {
+			fa, fb := col.Faults[i], col.Faults[j]
+			name := fa.Name(c) + ", " + fb.Name(c)
 			same := p.Label(i) != core.Isolated && p.Label(i) == p.Label(j)
-			if !same {
-				continue
+			equivalent := true
+			for _, v := range tests.Vecs {
+				if atpg.Distinguishes(c, fa, fb, v) {
+					equivalent = false
+					break
+				}
 			}
-			_, status, err := atpg.Distinguish(c, col.Faults[i], col.Faults[j], 10000)
+			if equivalent != same {
+				t.Errorf("pair (%s): exhaustive simulation says equivalent=%v, full dictionary %v", name, equivalent, same)
+			}
+			miter, err := atpg.BuildMiter(c, fa, fb)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if status != atpg.Untestable {
-				t.Errorf("pair (%s, %s) identical under exhaustive tests but miter says %v",
-					col.Faults[i].Name(c), col.Faults[j].Name(c), status)
+			cube, status, err := atpg.SolveOutputOne(miter, miter.POs[0], 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case status == atpg.Aborted:
+				t.Errorf("pair (%s): SAT ran out of budget", name)
+			case (status == atpg.Untestable) != equivalent:
+				t.Errorf("pair (%s): equivalent under exhaustive tests is %v, but SAT says %v", name, equivalent, status)
+			case status == atpg.Success:
+				v := cube.Clone()
+				for k := range v {
+					if v[k] == logic.X {
+						v[k] = logic.Zero
+					}
+				}
+				if !atpg.Distinguishes(c, fa, fb, v) {
+					t.Errorf("pair (%s): SAT test %s does not distinguish it", name, v)
+				}
 			}
 		}
 	}

@@ -14,44 +14,33 @@ import (
 
 // DiagConfig controls diagnostic test-set generation.
 type DiagConfig struct {
-	// Seed drives random fills and PODEM diversification.
+	// Seed drives the random patterns and the fill of SAT cubes' X inputs.
 	Seed int64
-	// BacktrackLimit is the PODEM backtrack budget of the quick
-	// per-fault distinguishing attempts, and of miter PODEM unless
-	// RetryBacktrackLimit is larger.
-	BacktrackLimit int
-	// RetryBacktrackLimit, when larger than BacktrackLimit, is the
-	// miter-PODEM backtrack budget per pair. Miter PODEM is deterministic
-	// and a limit only truncates its search, so one run at this limit
-	// answers as a run at BacktrackLimit retried at this limit would.
-	RetryBacktrackLimit int
 	// MaxRounds bounds the refine/distinguish iterations.
 	MaxRounds int
 	// PairAttemptsPerGroup caps distinguishing attempts per response group
 	// per round.
 	PairAttemptsPerGroup int
-	// MaxMiterCalls caps total miter ATPG invocations (0 = unlimited).
+	// MaxMiterCalls caps total pair attempts (0 = unlimited).
 	MaxMiterCalls int
 	// MaxRandomBatches caps the 64-pattern random batches of the cheap
-	// random distinguishing phase that precedes miter ATPG.
+	// random distinguishing phase that precedes the pair attempts.
 	MaxRandomBatches int
 	// UselessBatchLimit stops the random phase after this many consecutive
 	// batches that split no group.
 	UselessBatchLimit int
-	// SATConflictBudget enables a SAT-solver fallback on the miter when
-	// PODEM aborts: the complete procedure either finds a distinguishing
-	// test or proves the pair equivalent within this many conflicts.
-	// 0 disables the fallback.
+	// SATConflictBudget is the conflict budget of each SAT call, for
+	// redundancy screening and pair distinguishing alike: within it the
+	// solver either finds a test or proves the fault redundant or the pair
+	// equivalent. 0 disables SAT, and every pair attempt counts as Aborted.
 	SATConflictBudget int64
-	// MaxSATCalls caps fallback invocations per run (0 = 200).
+	// MaxSATCalls caps SAT calls per run (0 = unlimited).
 	MaxSATCalls int
 }
 
 // DefaultDiagConfig returns a reasonable diagnostic-generation setup.
 func DefaultDiagConfig() DiagConfig {
 	return DiagConfig{
-		BacktrackLimit:       150,
-		RetryBacktrackLimit:  3000,
 		MaxRounds:            80,
 		PairAttemptsPerGroup: 3,
 		MaxRandomBatches:     400,
@@ -65,12 +54,12 @@ func DefaultDiagConfig() DiagConfig {
 type DiagStats struct {
 	BaseTests   int   // tests inherited from the detection set
 	RandomTests int   // random distinguishing tests kept
-	AddedTests  int   // miter-generated distinguishing tests added
+	AddedTests  int   // SAT-generated detecting and distinguishing tests added
 	Equivalent  int64 // fault pairs proven functionally equivalent
-	Aborted     int64 // fault pairs abandoned at the backtrack limit
+	Aborted     int64 // fault pairs abandoned: SAT budget-out or SAT closed
 	Rounds      int
-	MiterCalls  int
-	SATCalls    int // SAT fallback invocations
+	MiterCalls  int // pair attempts, each one SAT call unless SAT is closed
+	SATCalls    int // SAT calls, redundancy screening and pairs together
 	// SATConflicts sums the solver conflicts of every SAT call, a
 	// deterministic measure of the SAT work.
 	SATConflicts int64
@@ -89,17 +78,17 @@ type DiagStats struct {
 
 // GenerateDiagnostic extends a detection test set into a diagnostic test
 // set: fault pairs with identical full responses under the current tests
-// are targeted one at a time with miter ATPG (a test driving the
-// two-faulty-copy miter output to 1 distinguishes the pair), until every
-// remaining pair is proven equivalent or exceeds the effort budget.
+// are targeted one at a time with SAT on the pair's miter (a test driving
+// the two-faulty-copy miter output to 1 distinguishes the pair), until
+// every remaining pair is proven equivalent or exceeds the effort budget.
 func GenerateDiagnostic(c *netlist.Circuit, faults []fault.Fault, base *pattern.Set, cfg DiagConfig) (*pattern.Set, DiagStats) {
 	return GenerateDiagnosticCtx(context.Background(), c, faults, base, cfg)
 }
 
 // GenerateDiagnosticCtx is GenerateDiagnostic under a context, honoured at
-// batch, pair and PODEM-decision granularity. On cancellation it degrades
-// gracefully: the distinguishing tests added so far are kept and the base
-// detection set is never lost; DiagStats.Interrupted is set.
+// batch and pair granularity. On cancellation it degrades gracefully: the
+// distinguishing tests added so far are kept and the base detection set is
+// never lost; DiagStats.Interrupted is set.
 func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, base *pattern.Set, cfg DiagConfig) (*pattern.Set, DiagStats) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -178,38 +167,18 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 	budget := func() bool {
 		return cfg.MaxMiterCalls == 0 || stats.MiterCalls < cfg.MaxMiterCalls
 	}
-
-	// quickDistinguish tries to separate a pair without a miter: fresh
-	// randomized detection cubes for either fault often already produce
-	// different responses. This is far cheaper than miter PODEM (the
-	// engine runs on the original circuit, not the doubled one) and
-	// resolves most pairs on large circuits.
-	quickEng := NewEngine(c)
-	quickEng.BacktrackLimit = cfg.BacktrackLimit
-	quickEng.Randomize(r)
-	quickEng.SetContext(ctx)
-	quickDistinguish := func(a, b int32) (pattern.Vector, bool) {
-		for attempt := 0; attempt < 6; attempt++ {
-			target := faults[a]
-			if attempt%2 == 1 {
-				target = faults[b]
-			}
-			cube, status := quickEng.Generate(target)
-			if status != Success {
-				continue
-			}
-			v := cube.Clone()
-			v.RandomFill(r)
-			if Distinguishes(c, faults[a], faults[b], v) {
-				return v, true
-			}
-		}
-		return nil, false
+	// satOpen reports whether SAT may still be called: it is enabled, under
+	// its call cap, and not closed by 5 consecutive budget-outs (the
+	// circuit's proofs are too hard for the budget).
+	satUseless := 0
+	satOpen := func() bool {
+		return cfg.SATConflictBudget > 0 && satUseless < 5 &&
+			(cfg.MaxSATCalls == 0 || stats.SATCalls < cfg.MaxSATCalls)
 	}
 
 	// randomPhase keeps random patterns that split any live response
-	// group; it resolves easy pairs far more cheaply than miter ATPG. It
-	// runs before the miter rounds and once more after them (the remaining
+	// group; it resolves easy pairs far more cheaply than SAT. It runs
+	// before the pair rounds and once more after them (the remaining
 	// groups are small by then, so late random luck is cheap to harvest).
 	randomPhase := func(patience int) {
 		useless := 0
@@ -266,11 +235,10 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 	// genuinely untestable. One SAT call on the detection miter settles
 	// each: UNSAT proves the fault redundant — and since redundant faults
 	// always produce the fault-free response, every pair of them is
-	// functionally equivalent, which removes those pairs from the miter
+	// functionally equivalent, which removes those pairs from the pair
 	// workload wholesale. A SAT answer instead contributes a fresh
 	// detecting (hence group-splitting) test.
 	redundant := make([]bool, len(faults))
-	satUseless := 0 // consecutive budget-outs; the circuit's proofs are too hard
 	if cfg.SATConflictBudget > 0 {
 		fresh := pattern.NewSet(tests.Width)
 		for i := range faults {
@@ -281,7 +249,7 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 			if detected[i] || p.Label(i) == core.Isolated {
 				continue
 			}
-			if cfg.MaxSATCalls > 0 && stats.SATCalls >= cfg.MaxSATCalls || satUseless >= 5 {
+			if !satOpen() {
 				break
 			}
 			miter, err := BuildDetectionMiter(c, faults[i])
@@ -319,7 +287,6 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 		stats.AddedTests += fresh.Len()
 	}
 
-	miterLimit := max(cfg.BacktrackLimit, cfg.RetryBacktrackLimit)
 	for round := 0; round < cfg.MaxRounds && budget() && !stats.Interrupted; round++ {
 		if ctx.Err() != nil {
 			stats.Interrupted = true
@@ -356,25 +323,10 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 					}
 					attempts++
 					attemptedAny = true
-					if v, ok := quickDistinguish(a, b); ok {
-						if k := v.Key(); !seen[k] {
-							seen[k] = true
-							added.Add(v)
-						}
-						break pairLoop
-					}
 					stats.MiterCalls++
-					var cube pattern.Vector
-					status := Aborted
-					miter, err := BuildMiter(c, faults[a], faults[b])
-					if err == nil {
-						cube, status = distinguishMiter(ctx, miter, miterLimit)
-					}
-					if err == nil && status == Aborted && cfg.SATConflictBudget > 0 && satUseless < 5 &&
-						(cfg.MaxSATCalls == 0 || stats.SATCalls < cfg.MaxSATCalls) {
-						// Complete fallback: Tseitin-encode the same miter.
-						distinguishes := func(v pattern.Vector) bool { return Distinguishes(c, faults[a], faults[b], v) }
-						if v, sstatus, conflicts, mismatch, serr := solveMiter(miter, cfg.SATConflictBudget, distinguishes); serr == nil {
+					cube, status := pattern.Vector(nil), Aborted
+					if satOpen() {
+						if v, sstatus, conflicts, mismatch, err := decidePair(c, faults[a], faults[b], cfg.SATConflictBudget); err == nil {
 							stats.SATCalls++
 							stats.SATConflicts += conflicts
 							if mismatch {
@@ -388,11 +340,8 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 							cube, status = v, sstatus
 						}
 					}
-					switch {
-					case err != nil:
-						unresolvable[mkKey(a, b)] = true
-						stats.Aborted++
-					case status == Success:
+					switch status {
+					case Success:
 						v := cube.Clone()
 						v.RandomFill(r)
 						if k := v.Key(); !seen[k] {
@@ -400,7 +349,7 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 							added.Add(v)
 						}
 						break pairLoop
-					case status == Untestable:
+					case Untestable:
 						unresolvable[mkKey(a, b)] = true
 						stats.Equivalent++
 					default: // Aborted

@@ -1,7 +1,6 @@
 package atpg
 
 import (
-	"context"
 	"fmt"
 
 	"sddict/internal/fault"
@@ -107,37 +106,19 @@ func buildMiter(c *netlist.Circuit, fa, fb *fault.Fault, name string) (*netlist.
 	return b.Build()
 }
 
-// Distinguish searches for a test that produces different output responses
-// under faults fa and fb on the combinational circuit c. It runs PODEM on
-// the miter, targeting stuck-at-0 on the miter output (whose test is any
-// vector driving the output to 1). The returned cube is over c's inputs.
-func Distinguish(c *netlist.Circuit, fa, fb fault.Fault, backtrackLimit int) (pattern.Vector, Status, error) {
-	return DistinguishCtx(context.Background(), c, fa, fb, backtrackLimit)
-}
-
-// DistinguishCtx is Distinguish under a context: a cancelled or expired
-// context aborts the miter PODEM run (status Aborted, no error).
-func DistinguishCtx(ctx context.Context, c *netlist.Circuit, fa, fb fault.Fault, backtrackLimit int) (pattern.Vector, Status, error) {
+// decidePair decides by SAT on their miter whether faults fa and fb of
+// the combinational circuit c can be told apart: Success with a
+// distinguishing cube over c's inputs (its X inputs lie outside the
+// miter's cone), Untestable when the pair is functionally equivalent,
+// Aborted when the conflict budget runs out or the model fails
+// re-simulation (mismatch). It also returns the solver's conflict count.
+func decidePair(c *netlist.Circuit, fa, fb fault.Fault, budget int64) (cube pattern.Vector, status Status, conflicts int64, mismatch bool, err error) {
 	m, err := BuildMiter(c, fa, fb)
 	if err != nil {
-		return nil, Aborted, err
+		return nil, Aborted, 0, false, err
 	}
-	cube, status := distinguishMiter(ctx, m, backtrackLimit)
-	return cube, status, nil
-}
-
-// distinguishMiter runs PODEM on a built miter m, targeting stuck-at-0 on
-// its output. Miter PIs are ordered like the circuit's, so the cube maps
-// across directly; it is nil unless the status is Success.
-func distinguishMiter(ctx context.Context, m *netlist.Circuit, backtrackLimit int) (pattern.Vector, Status) {
-	e := NewEngine(m)
-	e.BacktrackLimit = backtrackLimit
-	e.SetContext(ctx)
-	cube, status := e.Generate(fault.Fault{Gate: m.POs[0], Pin: fault.StemPin, Stuck: 0})
-	if status != Success {
-		return nil, status
-	}
-	return cube, Success
+	distinguishes := func(v pattern.Vector) bool { return Distinguishes(c, fa, fb, v) }
+	return solveMiter(m, budget, distinguishes)
 }
 
 // Distinguishes verifies by simulation that the fully specified vector vec

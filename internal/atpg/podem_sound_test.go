@@ -67,3 +67,59 @@ func TestPodemVsRandomSim(t *testing.T) {
 	t.Logf("faults=%d randomDetected=%d podem: succ=%d unt=%d abort=%d bugs=%d",
 		len(col.Faults), nDet, nSucc, nUnt, nAb, bugs)
 }
+
+// TestPodemUntestableMatchesExhaustive certifies detection PODEM's
+// Untestable verdicts: on c17, s27 and s208, every fault the detection
+// engine (default backtrack limit, deterministic and randomized) declares
+// untestable must leave its detection miter's output at 0 under every
+// input assignment of the output's cone, whenever that cone has at most
+// maxExhaustiveInputs inputs. Every Success cube must drive the miter
+// output to 1.
+func TestPodemUntestableMatchesExhaustive(t *testing.T) {
+	circuits := []*netlist.Circuit{
+		gen.C17(),
+		netlist.Combinationalize(gen.Profiles["s27"].MustGenerate(2)),
+		netlist.Combinationalize(gen.Profiles["s208"].MustGenerate(2)),
+	}
+	checked, skipped := 0, 0
+	for _, c := range circuits {
+		for _, randomized := range []bool{false, true} {
+			e := NewEngine(c)
+			e.BacktrackLimit = DefaultConfig(1).BacktrackLimit
+			if randomized {
+				e.Randomize(rand.New(rand.NewSource(1)))
+			}
+			for _, f := range fault.Collapse(c).Faults {
+				cube, status := e.Generate(f)
+				if status == Aborted {
+					continue
+				}
+				m, err := BuildDetectionMiter(c, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out := m.POs[0]
+				if status == Success {
+					if !drivesOne(m, out, cube) {
+						t.Fatalf("%s: PODEM cube %s for %s does not detect it", c.Name, cube, f.Name(c))
+					}
+					continue
+				}
+				testable, ok := exhaustiveOne(m, out)
+				if !ok {
+					skipped++
+					continue
+				}
+				checked++
+				if testable {
+					t.Fatalf("%s randomized=%v: PODEM says %s is untestable, but exhaustive simulation detects it",
+						c.Name, randomized, f.Name(c))
+				}
+			}
+		}
+	}
+	if checked < 10 {
+		t.Fatalf("only %d Untestable verdicts checked; the oracle exercised too little", checked)
+	}
+	t.Logf("%d Untestable verdicts confirmed exhaustively, %d cones too wide", checked, skipped)
+}

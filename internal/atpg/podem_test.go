@@ -143,61 +143,6 @@ func TestPodemAborted(t *testing.T) {
 	t.Logf("%d/50 aborted with zero backtrack budget", aborted)
 }
 
-// TestMiterDistinguish: for c17 fault pairs with different behaviour, the
-// miter engine must find a distinguishing test, verified by simulation.
-func TestMiterDistinguish(t *testing.T) {
-	c := gen.C17()
-	col := fault.Collapse(c)
-	r := rand.New(rand.NewSource(14))
-	found := 0
-	for i := 0; i < len(col.Faults) && found < 25; i++ {
-		for j := i + 1; j < len(col.Faults) && found < 25; j++ {
-			fa, fb := col.Faults[i], col.Faults[j]
-			cube, status, err := Distinguish(c, fa, fb, 100)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if status != Success {
-				continue
-			}
-			found++
-			v := cube.Clone()
-			v.RandomFill(r)
-			if !Distinguishes(c, fa, fb, v) {
-				t.Fatalf("miter test %s does not distinguish %s / %s", v, fa.Name(c), fb.Name(c))
-			}
-		}
-	}
-	if found == 0 {
-		t.Fatal("no distinguishable pair found on c17; miter engine broken")
-	}
-}
-
-// TestMiterEquivalentPair: two collapsed-equivalent faults must be proven
-// equivalent (miter untestable).
-func TestMiterEquivalentPair(t *testing.T) {
-	// y = AND(a, b): a-pin s-a-0 (via stem of a if fanout-free) equiv to
-	// y s-a-0. Build with explicit fanout so both faults exist distinctly.
-	b := netlist.NewBuilder("eq")
-	a := b.Input("a")
-	bb := b.Input("b")
-	y := b.Gate(netlist.And, "y", a, bb)
-	b.Output(y)
-	c, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fa := fault.Fault{Gate: a, Pin: fault.StemPin, Stuck: 0} // a s-a-0
-	fy := fault.Fault{Gate: y, Pin: fault.StemPin, Stuck: 0} // y s-a-0
-	_, status, err := Distinguish(c, fa, fy, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status != Untestable {
-		t.Fatalf("equivalent pair reported %v, want untestable", status)
-	}
-}
-
 // TestEngineRejectsSequential ensures the engine demands a combinational
 // circuit.
 func TestEngineRejectsSequential(t *testing.T) {
@@ -236,8 +181,8 @@ func TestRandomizedGenerationDiversity(t *testing.T) {
 // against a full imply after each settle. It covers stem, branch and
 // input faults, and miters: their constant lines make the fault-free
 // all-X state non-trivial, and with both faults on one output (stuck-at
-// 0 in one copy, 1 in the other) the miter output, which Distinguish
-// targets, is already 1 before any decision.
+// 0 in one copy, 1 in the other) the miter output is already 1 before
+// any decision.
 func TestImplyEventsMatchesFull(t *testing.T) {
 	s208 := netlist.Combinationalize(gen.Profiles["s208"].MustGenerate(2))
 	sfaults := fault.Collapse(s208).Faults

@@ -288,18 +288,16 @@ func PrepareCtx(ctx context.Context, c *netlist.Circuit, tt TestSetType, cfg Con
 		gcfg := atpg.DefaultDiagConfig()
 		gcfg.Seed = cfg.Seed + 3
 		gcfg.MaxMiterCalls = max(200, int(3000*effort))
-		// Large circuits: miter PODEM rarely closes the hardest pairs, so
-		// spend the budget on random distinguishing patience instead.
+		// Large circuits: SAT rarely closes the hardest pairs, so spend
+		// the budget on random distinguishing patience instead.
 		switch {
 		case gates > 3000:
 			gcfg.UselessBatchLimit = 30
-			gcfg.RetryBacktrackLimit = 300
 			gcfg.MaxMiterCalls = 250
 			gcfg.SATConflictBudget = 3000
 			gcfg.MaxSATCalls = 30
 		case gates > 700:
 			gcfg.UselessBatchLimit = 20
-			gcfg.RetryBacktrackLimit = 500
 			gcfg.SATConflictBudget = 8000
 			gcfg.MaxSATCalls = 40
 		}

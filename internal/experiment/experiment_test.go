@@ -5,6 +5,7 @@ import (
 
 	"sddict/internal/atpg"
 	"sddict/internal/core"
+	"sddict/internal/dictio"
 	"sddict/internal/gen"
 )
 
@@ -112,5 +113,36 @@ func TestPrepareLargeCircuitPaths(t *testing.T) {
 	row := BuildRow(prd, Diagnostic, Config{Seed: 1, DictOpts: &core.Options{Calls1: 1, MaxRestarts: 1}})
 	if row.Dict == nil || row.IndSDFinal < row.IndFull {
 		t.Fatalf("bad row: %+v", row)
+	}
+}
+
+// TestPipelineTestSetChecksums pins the test sets of the benchmark's
+// diagnostic rows (s208/diag and s298/diag at seed 1, as sdd builds and
+// publishes them) by their published test-set checksum. A change that
+// moves diagnostic generation, including its random stream, fails here
+// as well as in the benchmark's pins; re-pin both together, with per-row
+// evidence.
+func TestPipelineTestSetChecksums(t *testing.T) {
+	for _, tc := range []struct {
+		circuit  string
+		tests    int
+		checksum string
+	}{
+		{"s208", 28, "e85ee132"},
+		{"s298", 27, "50e49bf4"},
+	} {
+		cfg := Config{Seed: 1, Workers: 1}
+		pr, err := PrepareProfile(tc.circuit, Diagnostic, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compiled, err := BuildRow(pr, Diagnostic, cfg).Dict.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := dictio.TestSetChecksum(compiled); pr.Tests.Len() != tc.tests || got != tc.checksum {
+			t.Errorf("%s/diag: %d tests, checksum %s; want %d tests, checksum %s",
+				tc.circuit, pr.Tests.Len(), got, tc.tests, tc.checksum)
+		}
 	}
 }
