@@ -26,8 +26,6 @@ type Config struct {
 	UselessBatchLimit int
 	// TopUpRounds bounds the deterministic top-up sweeps.
 	TopUpRounds int
-	// MaxTests caps the final test count (0 = unlimited).
-	MaxTests int
 	// Compact runs reverse-order fault-simulation compaction on the result
 	// (only meaningful for NDetect == 1).
 	Compact bool
@@ -119,23 +117,6 @@ func GenerateDetectionCtx(ctx context.Context, c *netlist.Circuit, faults []faul
 		}
 		return a
 	}
-	full := func(tests *pattern.Set) bool {
-		return cfg.MaxTests > 0 && tests.Len() >= cfg.MaxTests
-	}
-	// The random phase leaves head-room under MaxTests so deterministic
-	// top-up can still target the faults random patterns missed.
-	randomCap := cfg.MaxTests
-	if randomCap > 0 {
-		reserve := randomCap / 5
-		if reserve > 500 {
-			reserve = 500
-		}
-		randomCap -= reserve
-	}
-	randomFull := func(tests *pattern.Set) bool {
-		return randomCap > 0 && tests.Len() >= randomCap
-	}
-
 	// simulateCandidates fault-simulates a candidate batch and appends the
 	// patterns that supply a needed detection, updating counts.
 	detWords := make([]uint64, len(faults))
@@ -152,9 +133,6 @@ func GenerateDetectionCtx(ctx context.Context, c *netlist.Circuit, faults []faul
 		}
 		kept := 0
 		for p := 0; p < batch.Count; p++ {
-			if full(tests) {
-				break
-			}
 			bit := uint64(1) << uint(p)
 			useful := false
 			for _, fi := range act {
@@ -179,7 +157,7 @@ func GenerateDetectionCtx(ctx context.Context, c *netlist.Circuit, faults []faul
 
 	// Random phase.
 	useless := 0
-	for b := 0; b < cfg.MaxRandomBatches && useless < cfg.UselessBatchLimit && !randomFull(tests); b++ {
+	for b := 0; b < cfg.MaxRandomBatches && useless < cfg.UselessBatchLimit; b++ {
 		if ctx.Err() != nil {
 			stats.Interrupted = true
 			break
@@ -209,7 +187,7 @@ func GenerateDetectionCtx(ctx context.Context, c *netlist.Circuit, faults []faul
 	for _, v := range tests.Vecs {
 		seen[v.Key()] = true
 	}
-	for round := 0; round < cfg.TopUpRounds && !full(tests); round++ {
+	for round := 0; round < cfg.TopUpRounds; round++ {
 		pending := active()
 		if len(pending) == 0 {
 			break
@@ -220,7 +198,7 @@ func GenerateDetectionCtx(ctx context.Context, c *netlist.Circuit, faults []faul
 				stats.Interrupted = true
 				break
 			}
-			if counts[fi] >= cfg.NDetect || dead[fi] || full(tests) {
+			if counts[fi] >= cfg.NDetect || dead[fi] {
 				continue
 			}
 			cube, status := eng.Generate(faults[fi])

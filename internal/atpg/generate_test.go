@@ -125,18 +125,6 @@ func TestCompactPreservesCoverage(t *testing.T) {
 	}
 }
 
-func TestGenerateDetectionMaxTests(t *testing.T) {
-	comb := netlist.Combinationalize(gen.Profiles["s298"].MustGenerate(1))
-	col := fault.Collapse(comb)
-	cfg := DefaultConfig(10)
-	cfg.Seed = 4
-	cfg.MaxTests = 40
-	tests, _ := GenerateDetection(comb, col.Faults, cfg)
-	if tests.Len() > 40 {
-		t.Fatalf("MaxTests violated: %d tests", tests.Len())
-	}
-}
-
 // TestGenerateDiagnosticImprovesResolution: the diagnostic extension must
 // strictly reduce (or at worst keep) the number of response-identical fault
 // pairs relative to the detection base, and every added test must be new.

@@ -89,7 +89,7 @@ func benchFixture() (*resp.Matrix, *Partition, int) {
 func BenchmarkDistPerClass(b *testing.B) {
 	m, base, j := benchFixture()
 	class, numClasses := m.Class[j], m.NumClasses(j)
-	pc := m.PackedClasses(j)
+	ci := m.ClassIndex(j)
 
 	b.Run("scalar", func(b *testing.B) {
 		lab := cloneLabels(base)
@@ -118,7 +118,7 @@ func BenchmarkDistPerClass(b *testing.B) {
 		var evals, cutoffs int64
 		var best int32
 		for i := 0; i < b.N; i++ {
-			best = sc.selectIndexed(p, pc, numClasses, 0, &evals, &cutoffs)
+			best = sc.selectIndexed(p, ci, numClasses, 0, &evals, &cutoffs)
 			// Restore the all-zero scratch invariant refineIndexed would
 			// normally restore.
 			for _, l := range sc.dtouch {
@@ -139,7 +139,7 @@ func BenchmarkDistPerClass(b *testing.B) {
 func BenchmarkRefine(b *testing.B) {
 	m, base, j := benchFixture()
 	class, numClasses := m.Class[j], m.NumClasses(j)
-	pc := m.PackedClasses(j)
+	ci := m.ClassIndex(j)
 
 	b.Run("scalar", func(b *testing.B) {
 		lab0 := cloneLabels(base)
@@ -183,8 +183,8 @@ func BenchmarkRefine(b *testing.B) {
 			b.StartTimer()
 			var sc distScratch
 			var evals, cutoffs int64
-			best := sc.selectIndexed(p, pc, numClasses, 0, &evals, &cutoffs)
-			sc.refineIndexed(p, pc, best)
+			best := sc.selectIndexed(p, ci, numClasses, 0, &evals, &cutoffs)
+			sc.refineIndexed(p, ci, class, best)
 			pairs = p.Pairs()
 		}
 		b.ReportMetric(float64(pairs), "pairs")

@@ -241,27 +241,6 @@ func (p *Partition) splitByClass(l, c int32, class []int32, baseline int32) int6
 	return p.finishSplit(l, c)
 }
 
-// splitByBitmap is splitByClass with membership read from a class bitmap.
-func (p *Partition) splitByBitmap(l, c int32, bm []uint64) int64 {
-	lo, hi := p.spanLo[l], p.spanHi[l]
-	i, j := lo, hi-1
-	for i < j {
-		for i < j && bm[p.members[i]>>6]&(1<<(uint(p.members[i])&63)) == 0 {
-			i++
-		}
-		for i < j && bm[p.members[j]>>6]&(1<<(uint(p.members[j])&63)) != 0 {
-			j--
-		}
-		if i < j {
-			p.members[i], p.members[j] = p.members[j], p.members[i]
-			p.pos[p.members[i]], p.pos[p.members[j]] = i, j
-			i++
-			j--
-		}
-	}
-	return p.finishSplit(l, c)
-}
-
 // finishSplit applies the paper's label rules to a span already
 // partitioned into [lo, hi−c) others and [hi−c, hi) matches: the other
 // side keeps label l, the match side gets a fresh label, and either side

@@ -7,13 +7,13 @@ import (
 )
 
 // This file is the detected-fault-index side of the scan engine
-// (DESIGN.md §14). The packed class bitmaps give every test a second
-// derived view: the list of its detected faults grouped by response
-// class. One walk of that list yields each group's detected-member count,
-// from which class 0 — the bulk of each test's faults — scores by
-// complement (c₀ = s − detected-in-group), while the nonzero classes are
-// scored lazily from their own segments as the LOWER scan reaches them.
-// That makes the dist scan O(detected + evals) per test, independent of
+// (DESIGN.md §14). Besides its class row, every test has one derived
+// view, resp.ClassIndex: the list of its detected faults grouped by
+// response class. One walk of that list yields each group's
+// detected-member count, from which class 0 — the bulk of each test's
+// faults — scores by complement (c₀ = s − detected-in-group), while the
+// nonzero classes are scored lazily from their own segments as the LOWER
+// scan reaches them. That makes the dist scan O(detected + evals) per test, independent of
 // how many faults are still live, which is the dominant regime of a
 // restart: most tests detect a few percent of the faults while most
 // faults still sit in live groups. Both scan paths (member scan, index
@@ -29,15 +29,15 @@ import (
 // reference member scan exactly.
 func (sc *distScratch) scanAndRefine(p *Partition, m *resp.Matrix, j, lower int, evals, cutoffs *int64) int32 {
 	p.compactLabs()
-	pc := m.PackedClasses(j)
+	ci := m.ClassIndex(j)
 	// The member scan pays live work twice (perClass count plus the
 	// refinement re-count) and zeroes a full dist array, so the index path
 	// wins well past the point where the detected list outgrows the live
 	// count. The choice is a pure function of deterministic state, and
 	// both paths give bit-identical dist.
-	if len(pc.DetectedList()) < 8*p.live {
-		best := sc.selectIndexed(p, pc, m.NumClasses(j), lower, evals, cutoffs)
-		sc.refineIndexed(p, pc, best)
+	if len(ci.DetectedList()) < 8*p.live {
+		best := sc.selectIndexed(p, ci, m.NumClasses(j), lower, evals, cutoffs)
+		sc.refineIndexed(p, ci, m.Class[j], best)
 		return best
 	}
 	dist := sc.perClass(p, m.Class[j], m.NumClasses(j))
@@ -65,7 +65,7 @@ func (sc *distScratch) ensureIndexBufs(p *Partition) {
 // complement counts, and each nonzero class scores from its own index
 // segment only when the scan reaches it — classes past the cutoff are
 // never grouped at all.
-func (sc *distScratch) selectIndexed(p *Partition, pc resp.PackedClasses, numClasses, lower int, evals, cutoffs *int64) int32 {
+func (sc *distScratch) selectIndexed(p *Partition, ci resp.ClassIndex, numClasses, lower int, evals, cutoffs *int64) int32 {
 	sc.ensureIndexBufs(p)
 	lab, size := p.lab, p.size
 	dcnt, dtouch := sc.dcnt, sc.dtouch[:0]
@@ -74,7 +74,7 @@ func (sc *distScratch) selectIndexed(p *Partition, pc resp.PackedClasses, numCla
 	// delta of s−2c−1. The telescoped sum is exactly Σ (s−dl)·dl — integer
 	// arithmetic, so bit-identical to the two-pass computation.
 	var d0 int64
-	for _, f := range pc.DetectedList() {
+	for _, f := range ci.DetectedList() {
 		l := lab[f]
 		if l < 0 {
 			continue
@@ -98,7 +98,7 @@ scan:
 		if z == 0 {
 			d = d0
 		} else {
-			for _, f := range pc.ClassList(int32(z)) {
+			for _, f := range ci.ClassList(int32(z)) {
 				l := lab[f]
 				if l < 0 {
 					continue
@@ -135,10 +135,12 @@ scan:
 // only matching members instead of whole spans: each matching member is
 // swapped (via the pos index) to its side of the span, then finishSplit
 // applies the label rules per split group in ascending label order —
-// reproducing the reference numbering. Groups the baseline does not split
-// cost nothing beyond their count check. Finishes by resetting the
-// phase-1 counters, restoring the scratch invariant.
-func (sc *distScratch) refineIndexed(p *Partition, pc resp.PackedClasses, best int32) {
+// reproducing the reference numbering. When the split groups' spans are
+// shorter than the index segment, it probes the class row over those
+// spans instead. Groups the baseline does not split cost nothing beyond
+// their count check. Finishes by resetting the phase-1 counters,
+// restoring the scratch invariant.
+func (sc *distScratch) refineIndexed(p *Partition, ci resp.ClassIndex, class []int32, best int32) {
 	lab := p.lab
 	members, pos := p.members, p.pos
 	dcnt, zcnt := sc.dcnt, sc.zcnt
@@ -161,24 +163,23 @@ func (sc *distScratch) refineIndexed(p *Partition, pc resp.PackedClasses, best i
 			wl = append(wl, l)
 		}
 		slices.Sort(wl)
-		if spanTotal < len(pc.DetectedList()) {
-			// Walking the split spans with bit probes into the class-0
-			// bitmap is cheaper than re-walking the full detected list.
-			// Both orderings produce the same member sets per side, and
-			// member order within a span is free (DESIGN.md §14), so the
-			// per-test choice affects cost only.
-			bm := pc.Class(0)
+		if spanTotal < len(ci.DetectedList()) {
+			// Walking the split spans with class-row probes is cheaper
+			// than re-walking the full detected list. Both orderings
+			// produce the same member sets per side, and member order
+			// within a span is free (DESIGN.md §14), so the per-test
+			// choice affects cost only.
 			for _, l := range wl {
 				c := zcnt[l]
 				zcnt[l] = 0
-				p.splitByBitmap(l, c, bm)
+				p.splitByClass(l, c, class, 0)
 			}
 			wl = wl[:0]
 		} else {
 			// Move pass: dcnt counts down so slot spanLo+dcnt−1 fills the
 			// front of the span and the counter self-resets to zero.
 			spanLo := p.spanLo
-			for _, f := range pc.DetectedList() {
+			for _, f := range ci.DetectedList() {
 				l := lab[f]
 				if l < 0 || dcnt[l] == 0 {
 					continue
@@ -197,7 +198,7 @@ func (sc *distScratch) refineIndexed(p *Partition, pc resp.PackedClasses, best i
 			}
 		}
 	} else {
-		seg := pc.ClassList(best)
+		seg := ci.ClassList(best)
 		for _, f := range seg {
 			l := lab[f]
 			if l < 0 {
@@ -227,11 +228,10 @@ func (sc *distScratch) refineIndexed(p *Partition, pc resp.PackedClasses, best i
 		wl = wl[:w]
 		slices.Sort(wl)
 		if spanTotal < len(seg) {
-			bm := pc.Class(best)
 			for _, l := range wl {
 				c := dcnt[l]
 				zcnt[l] = 0
-				p.splitByBitmap(l, c, bm)
+				p.splitByClass(l, c, class, best)
 			}
 			wl = wl[:0]
 		} else {

@@ -86,7 +86,7 @@ func TestScanPathsAgree(t *testing.T) {
 		}
 		j := k - 1
 		numClasses := m.NumClasses(j)
-		pc := m.PackedClasses(j)
+		ci := m.ClassIndex(j)
 
 		pm := base.Clone()
 		var scm distScratch
@@ -100,8 +100,8 @@ func TestScanPathsAgree(t *testing.T) {
 		var sci distScratch
 		var evalsI, cutI int64
 		pi.compactLabs()
-		bestI := sci.selectIndexed(pi, pc, numClasses, lower, &evalsI, &cutI)
-		sci.refineIndexed(pi, pc, bestI)
+		bestI := sci.selectIndexed(pi, ci, numClasses, lower, &evalsI, &cutI)
+		sci.refineIndexed(pi, ci, m.Class[j], bestI)
 
 		if bestI != bestM {
 			t.Fatalf("trial %d: member chose %d, indexed %d", trial, bestM, bestI)

@@ -261,15 +261,6 @@ func PrepareCtx(ctx context.Context, c *netlist.Circuit, tt TestSetType, cfg Con
 	case TenDetect:
 		dcfg := atpg.DefaultConfig(10)
 		dcfg.Seed = cfg.Seed + 2
-		// Bound the matrix size on large circuits: a 10-detection set is
-		// naturally about 10x a detection set; past a few thousand tests
-		// the extra patterns add resolution the dictionaries do not need.
-		switch {
-		case gates > 3000:
-			dcfg.MaxTests = 9000
-		case gates > 700:
-			dcfg.MaxTests = 7000
-		}
 		if cfg.DetectCfg != nil {
 			dcfg = *cfg.DetectCfg
 		}

@@ -35,58 +35,40 @@ type Matrix struct {
 	// Vecs[j][0] is the fault-free output vector.
 	Vecs [][]logic.BitVec
 
-	// packed[j] is the bit-packed view of Class[j]: one fault bitmap per
-	// response class (DESIGN.md §14). The simulation builders fill it
-	// eagerly during assembly; matrices built any other way (explicit
-	// responses, test literals, row sharing) derive it on first use.
-	// Class stays the API of record — packed is a pure re-encoding of it.
-	packed   []PackedClasses
-	packOnce sync.Once
+	// index[j] is the detected-fault index of Class[j] (DESIGN.md §14),
+	// derived from the class rows on first use. Class stays the API of
+	// record — the index is a pure re-encoding of it.
+	index     []ClassIndex
+	indexOnce sync.Once
 }
 
-// PackedClasses is the bit-packed view of one test's class row: for every
-// response class z, a bitmap over the fault indices with bit i set exactly
-// when Class[j][i] == z. The class bitmaps partition the fault set, so the
-// whole row costs numClasses·⌈N/64⌉ words; the dictionary search probes
-// them to split a group's members by class without re-walking the
-// detected-fault index.
-type PackedClasses struct {
-	words int
-	bits  []uint64 // numClasses consecutive slabs of `words` words each
-
-	// Detected-fault index: the faults with a nonzero class, grouped by
-	// class in ascending class order and ascending fault order within a
-	// class. detOffs[z]..detOffs[z+1] delimits class z's segment (class 0
-	// has an empty segment). One walk of this list yields every per-group
-	// class count of a test — class 0 by complement — which is what makes
-	// the dist scan O(detected) instead of O(live) on sparse tests.
+// ClassIndex is the detected-fault index of one test's class row: the
+// faults with a nonzero class, grouped by class in ascending class order
+// and ascending fault order within a class. One walk of the list yields
+// every per-group class count of a test — class 0 by complement — which
+// is what makes the dictionary search's dist scan O(detected) instead of
+// O(live) on sparse tests. It costs O(N) words per test.
+type ClassIndex struct {
+	// detOffs[z]..detOffs[z+1] delimits class z's segment of detList
+	// (class 0 has an empty segment).
 	detList []int32
 	detOffs []int32
-}
-
-// Words returns the number of 64-bit words per class bitmap, ⌈N/64⌉.
-func (pc PackedClasses) Words() int { return pc.words }
-
-// Class returns the fault bitmap of response class z. The slice aliases
-// the matrix's storage and must not be modified.
-func (pc PackedClasses) Class(z int32) []uint64 {
-	return pc.bits[int(z)*pc.words : (int(z)+1)*pc.words]
 }
 
 // DetectedList returns the ascending-class detected-fault index: every
 // fault with a nonzero class, grouped by class. The slice aliases the
 // matrix's storage and must not be modified.
-func (pc PackedClasses) DetectedList() []int32 { return pc.detList }
+func (ci ClassIndex) DetectedList() []int32 { return ci.detList }
 
 // ClassList returns the ascending fault indices of response class z ≥ 1.
-func (pc PackedClasses) ClassList(z int32) []int32 {
-	return pc.detList[pc.detOffs[z]:pc.detOffs[z+1]]
+func (ci ClassIndex) ClassList(z int32) []int32 {
+	return ci.detList[ci.detOffs[z]:ci.detOffs[z+1]]
 }
 
-// indexDetected builds the detected-fault index from a class row by
+// indexDetected builds the detected-fault index of a class row by
 // counting sort: O(n + numClasses), fault-ascending within each class.
-func indexDetected(class []int32, numClasses int) (list, offs []int32) {
-	offs = make([]int32, numClasses+1)
+func indexDetected(class []int32, numClasses int) ClassIndex {
+	offs := make([]int32, numClasses+1)
 	for _, z := range class {
 		if z != 0 {
 			offs[z]++
@@ -101,7 +83,7 @@ func indexDetected(class []int32, numClasses int) (list, offs []int32) {
 		offs[z] = total
 		total += c
 	}
-	list = make([]int32, total)
+	list := make([]int32, total)
 	fill := append([]int32(nil), offs[:numClasses]...)
 	for i, z := range class {
 		if z != 0 {
@@ -109,39 +91,19 @@ func indexDetected(class []int32, numClasses int) (list, offs []int32) {
 			fill[z]++
 		}
 	}
-	return list, offs
+	return ClassIndex{detList: list, detOffs: offs}
 }
 
-// PackedClasses returns the packed view of test j's class row, deriving it
-// from Class on first use if the matrix was not built by the simulation
-// path. Safe for concurrent use.
-func (m *Matrix) PackedClasses(j int) PackedClasses {
-	m.packOnce.Do(m.buildPacked)
-	return m.packed[j]
-}
-
-// buildPacked derives the packed view for matrices whose constructor did
-// not fill it eagerly.
-func (m *Matrix) buildPacked() {
-	if m.packed != nil {
-		return
-	}
-	packed := make([]PackedClasses, m.K)
-	for j := 0; j < m.K; j++ {
-		packed[j] = packClassRow(m.N, m.Class[j], m.NumClasses(j))
-	}
-	m.packed = packed
-}
-
-// packClassRow packs one class row into per-class fault bitmaps.
-func packClassRow(n int, class []int32, numClasses int) PackedClasses {
-	words := (n + 63) / 64
-	pc := PackedClasses{words: words, bits: make([]uint64, numClasses*words)}
-	for i, z := range class {
-		pc.bits[int(z)*words+i>>6] |= 1 << (uint(i) & 63)
-	}
-	pc.detList, pc.detOffs = indexDetected(class, numClasses)
-	return pc
+// ClassIndex returns the detected-fault index of test j's class row,
+// deriving every test's index on first use. Safe for concurrent use.
+func (m *Matrix) ClassIndex(j int) ClassIndex {
+	m.indexOnce.Do(func() {
+		m.index = make([]ClassIndex, m.K)
+		for k := range m.index {
+			m.index[k] = indexDetected(m.Class[k], m.NumClasses(k))
+		}
+	})
+	return m.index[j]
 }
 
 // NumClasses returns the number of distinct responses observed for test j
@@ -195,12 +157,10 @@ func BuildCtx(ctx context.Context, view *netlist.ScanView, faults []fault.Fault,
 }
 
 // patternRow is one test's assembled response data: the class of every
-// fault, the deduplicated class vectors, and the packed per-class fault
-// bitmaps built alongside classification.
+// fault and the deduplicated class vectors.
 type patternRow struct {
-	class  []int32
-	vecs   []logic.BitVec
-	packed PackedClasses
+	class []int32
+	vecs  []logic.BitVec
 }
 
 // BuildWorkersCtx is BuildCtx with an explicit degree of parallelism
@@ -228,7 +188,6 @@ func BuildObsCtx(ctx context.Context, workers int, view *netlist.ScanView, fault
 	m := &Matrix{N: len(faults), K: tests.Len(), M: view.NumOutputs()}
 	m.Class = make([][]int32, m.K)
 	m.Vecs = make([][]logic.BitVec, m.K)
-	m.packed = make([]PackedClasses, m.K)
 
 	if ob.Tracing() {
 		ob.Emit("resp_build", map[string]any{
@@ -249,8 +208,8 @@ func BuildObsCtx(ctx context.Context, workers int, view *netlist.ScanView, fault
 			return nil, err
 		}
 		// Transpose the per-fault detect words once per batch: each test's
-		// assembly then walks only its detected faults, word-parallel,
-		// instead of re-deriving detection for every (pattern, fault) pair.
+		// assembly then walks only its detected faults instead of
+		// re-deriving detection for every (pattern, fault) pair.
 		detect := sim.DetectBitmaps(effects, b.Count)
 
 		// Assemble each test of the batch independently: a test's class
@@ -270,7 +229,6 @@ func BuildObsCtx(ctx context.Context, workers int, view *netlist.ScanView, fault
 			j := base + p
 			m.Class[j] = row.class
 			m.Vecs[j] = row.vecs
-			m.packed[j] = row.packed
 		}
 		base += b.Count
 		ob.M().Inc(obs.SimBatches)
@@ -320,12 +278,12 @@ func sweepEffects(ctx context.Context, pool *par.Pool, s *sim.Simulator, faults 
 	return effects, nil
 }
 
-// assemblePattern builds one test's class row, vector table, and packed
-// class bitmaps from the batch's effect list. detect is this pattern's
-// fault bitmap from sim.DetectBitmaps: undetected faults are class 0 by
-// construction (its bitmap is the detect complement), and the detected
-// faults are walked in index order via trailing-zero iteration, so class
-// ids match the sequential full-scan assembly bit for bit.
+// assemblePattern builds one test's class row and vector table from the
+// batch's effect list. detect is this pattern's fault bitmap from
+// sim.DetectBitmaps: undetected faults are class 0 by construction, and
+// the detected faults are walked in index order via trailing-zero
+// iteration, so class ids match the sequential full-scan assembly bit for
+// bit.
 func assemblePattern(m *Matrix, goodWords []logic.Word, effects []sim.Effect, detect []uint64, p int) patternRow {
 	good := logic.NewBitVec(m.M)
 	for o := 0; o < m.M; o++ {
@@ -334,16 +292,6 @@ func assemblePattern(m *Matrix, goodWords []logic.Word, effects []sim.Effect, de
 	row := patternRow{
 		class: make([]int32, m.N),
 		vecs:  []logic.BitVec{good},
-	}
-	words := len(detect)
-	// Class 0's bitmap is the complement of the detect bitmap, trimmed to
-	// the valid fault indices; further class slabs grow as classes appear.
-	packed := make([]uint64, words, 4*words)
-	for w, dw := range detect {
-		packed[w] = ^dw
-	}
-	if tail := uint(m.N) % 64; tail != 0 && words > 0 {
-		packed[words-1] &= 1<<tail - 1
 	}
 	byHash := map[uint64][]int32{good.Hash(): {0}}
 	for w, dw := range detect {
@@ -368,14 +316,10 @@ func assemblePattern(m *Matrix, goodWords []logic.Word, effects []sim.Effect, de
 				cls = int32(len(row.vecs))
 				row.vecs = append(row.vecs, vec)
 				byHash[h] = append(byHash[h], cls)
-				packed = append(packed, make([]uint64, words)...)
 			}
 			row.class[i] = cls
-			packed[int(cls)*words+w] |= 1 << (uint(i) & 63)
 		}
 	}
-	row.packed = PackedClasses{words: words, bits: packed}
-	row.packed.detList, row.packed.detOffs = indexDetected(row.class, len(row.vecs))
 	return row
 }
 

@@ -285,8 +285,10 @@ func (s *Simulator) Propagate(f fault.Fault) Effect {
 // fault indices, with bit i set exactly when effects[i].Detect has pattern
 // bit p set. count is the number of valid patterns in the batch (out has
 // that length). The transpose costs O(faults + total detections) and lets
-// a consumer walk only the detected faults of a pattern word-parallel,
-// instead of re-deriving detection per (pattern, fault) pair.
+// a consumer walk each pattern's detected faults in ascending index order
+// by trailing-zero iteration, instead of re-deriving detection per
+// (pattern, fault) pair. The bitmaps are per-batch scratch: response
+// capture keeps only the class rows they help build.
 func DetectBitmaps(effects []Effect, count int) [][]uint64 {
 	words := (len(effects) + 63) / 64
 	out := make([][]uint64, count)
