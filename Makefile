@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-fix-check fuzz bench bench-compare chaos check clean
+.PHONY: build test race vet fmt lint lint-fix-check fuzz bench bench-compare chaos check clean
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,10 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file must be gofmt-clean.
+fmt:
+	@files="$$(gofmt -l .)"; if [ -n "$$files" ]; then echo "fmt: gofmt -l lists:"; echo "$$files"; exit 1; fi
 
 # The repo's own invariant checkers (sddlint -list prints the catalog);
 # see DESIGN.md §8 and §13.
@@ -38,12 +42,14 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz passes over the .bench parser, the SAT solver (verdict
-# against brute force, model against every clause) and the hashed circuit
-# encoder (verdict against exhaustive simulation); CI-friendly budget.
+# against brute force, model against every clause), the hashed circuit
+# encoder (verdict against exhaustive simulation) and the /diagnose body
+# decoder (request and error against encoding/json); CI-friendly budget.
 fuzz:
 	$(GO) test -run=FuzzParse -fuzz=FuzzParse -fuzztime=30s ./internal/bench/
 	$(GO) test -run=FuzzSolveMatchesBruteForce -fuzz=FuzzSolveMatchesBruteForce -fuzztime=30s ./internal/sat/
 	$(GO) test -run=FuzzSolveOutputOneMatchesExhaustive -fuzz=FuzzSolveOutputOneMatchesExhaustive -fuzztime=30s ./internal/atpg/
+	$(GO) test -run=FuzzDecodeDiagnoseMatchesJSON -fuzz=FuzzDecodeDiagnoseMatchesJSON -fuzztime=30s ./internal/serve/
 
 # Parallel-layer benchmarks (restart search, fault-sim sharding, sweep
 # rows) at workers=1 vs N plus the partition scan/refine microbenchmarks
@@ -88,9 +94,9 @@ chaos:
 	$(GO) test -race -count=1 ./internal/dictio/ ./internal/faultfs/ ./internal/obs/ ./internal/serve/ ./internal/cli/ ./internal/casestore/
 	$(GO) test -race -count=1 -run 'TestServe' .
 
-# The gate for every change: static analysis (go vet + sddlint) plus the
-# full suite under the race detector.
-check: vet lint race
+# The gate for every change: formatting, static analysis (go vet +
+# sddlint) plus the full suite under the race detector.
+check: fmt vet lint race
 
 clean:
 	$(GO) clean ./...

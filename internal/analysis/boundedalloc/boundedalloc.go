@@ -460,4 +460,3 @@ func exportFacts(pass *analysis.Pass) {
 		}
 	}
 }
-

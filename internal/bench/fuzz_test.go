@@ -17,21 +17,21 @@ func FuzzParse(f *testing.F) {
 	f.Add("x = AND(x, x)\nOUTPUT(x)\n") // self-cycle
 	f.Add("INPUT(a)\nb = DFF(b)\nOUTPUT(b)\n")
 	// Malformed-netlist corpus: each seed aims at a distinct failure path.
-	f.Add("INPUT(a)\nINPUT(a)\n")                          // duplicate input
-	f.Add("INPUT(a)\na = NOT(a)\nOUTPUT(a)\n")             // input redefined
-	f.Add("INPUT(a)\ny = NOT(zzz)\nOUTPUT(y)\n")           // undefined fanin
-	f.Add("OUTPUT(q)\n")                                   // undefined output
-	f.Add("INPUT(a)\ny = FROB(a)\nOUTPUT(y)\n")            // unknown type
-	f.Add("INPUT(a)\ny = AND(a, )\nOUTPUT(y)\n")           // empty fanin
-	f.Add("INPUT(a)\ny =\nOUTPUT(y)\n")                    // missing rhs
-	f.Add("INPUT()\n")                                     // empty declaration
-	f.Add("INPUT a\n")                                     // missing paren
-	f.Add(" = AND(a, b)\n")                                // missing lhs
+	f.Add("INPUT(a)\nINPUT(a)\n")                             // duplicate input
+	f.Add("INPUT(a)\na = NOT(a)\nOUTPUT(a)\n")                // input redefined
+	f.Add("INPUT(a)\ny = NOT(zzz)\nOUTPUT(y)\n")              // undefined fanin
+	f.Add("OUTPUT(q)\n")                                      // undefined output
+	f.Add("INPUT(a)\ny = FROB(a)\nOUTPUT(y)\n")               // unknown type
+	f.Add("INPUT(a)\ny = AND(a, )\nOUTPUT(y)\n")              // empty fanin
+	f.Add("INPUT(a)\ny =\nOUTPUT(y)\n")                       // missing rhs
+	f.Add("INPUT()\n")                                        // empty declaration
+	f.Add("INPUT a\n")                                        // missing paren
+	f.Add(" = AND(a, b)\n")                                   // missing lhs
 	f.Add("INPUT(a)\np = NOT(q)\nq = AND(p, a)\nOUTPUT(q)\n") // 2-cycle
-	f.Add("y = NOT(#)\n")                                  // comment mid-token
-	f.Add("INPUT(a)\r\ny = NOT(a)\r\nOUTPUT(y)\r\n")       // CRLF line endings
-	f.Add(strings.Repeat("(", 100))                        // paren noise
-	f.Add("INPUT(a)\nOUTPUT(y)\ny = BUFF(a, a, a)\n")      // extra fanins
+	f.Add("y = NOT(#)\n")                                     // comment mid-token
+	f.Add("INPUT(a)\r\ny = NOT(a)\r\nOUTPUT(y)\r\n")          // CRLF line endings
+	f.Add(strings.Repeat("(", 100))                           // paren noise
+	f.Add("INPUT(a)\nOUTPUT(y)\ny = BUFF(a, a, a)\n")         // extra fanins
 	f.Fuzz(func(t *testing.T, src string) {
 		c, err := Parse(strings.NewReader(src), "fuzz")
 		if err != nil {

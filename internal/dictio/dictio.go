@@ -402,17 +402,60 @@ func ParseVector(s string, outputs int) (logic.BitVec, error) {
 	return v, nil
 }
 
-// ParseVectors parses a batch of response lines (one per test).
+// ParseVectors parses a batch of response lines (one per test), each
+// trimmed of surrounding white space. The result equals ParseVector on
+// every trimmed line, but the vectors share one backing array (each cut
+// with a 3-index slice, so appending to one reallocates instead of
+// overwriting its neighbour) and are packed 8 characters per step. A
+// line the word path rejects goes through ParseVector, so the verdict
+// and the error text are ParseVector's.
 func ParseVectors(lines []string, outputs int) ([]logic.BitVec, error) {
 	out := make([]logic.BitVec, len(lines))
+	words := logic.WordsFor(max(outputs, 0))
+	backing := make([]uint64, len(lines)*words)
 	for i, s := range lines {
-		v, err := ParseVector(strings.TrimSpace(s), outputs)
-		if err != nil {
-			return nil, fmt.Errorf("response %d: %w", i+1, err)
+		s = strings.TrimSpace(s)
+		v := logic.BitVec(backing[i*words : (i+1)*words : (i+1)*words])
+		if !packVector(v, s, outputs) {
+			var err error
+			if v, err = ParseVector(s, outputs); err != nil {
+				return nil, fmt.Errorf("response %d: %w", i+1, err)
+			}
 		}
 		out[i] = v
 	}
 	return out, nil
+}
+
+// packVector packs the 0/1 line s into the zeroed v and reports whether
+// s was exactly outputs valid characters. Eight characters are one
+// little-endian word: XOR with "00000000" leaves each byte 0 or 1 (one
+// mask test rejects anything else), and multiplying by 0x0102040810204080
+// gathers the eight low bits into the top byte, character j at bit j —
+// every cross term lands at a distinct position below bit 56, so no
+// carry reaches it.
+func packVector(v logic.BitVec, s string, outputs int) bool {
+	if len(s) != outputs {
+		return false
+	}
+	const zeros, ones, gather = 0x3030303030303030, 0x0101010101010101, 0x0102040810204080
+	i := 0
+	for ; i+8 <= len(s); i += 8 {
+		x := (uint64(s[i]) | uint64(s[i+1])<<8 | uint64(s[i+2])<<16 | uint64(s[i+3])<<24 |
+			uint64(s[i+4])<<32 | uint64(s[i+5])<<40 | uint64(s[i+6])<<48 | uint64(s[i+7])<<56) ^ zeros
+		if x&^ones != 0 {
+			return false
+		}
+		v[i/64] |= (x * gather >> 56) << (i % 64)
+	}
+	for ; i < len(s); i++ {
+		b := uint64(s[i]) ^ '0'
+		if b > 1 {
+			return false
+		}
+		v[i/64] |= b << (i % 64)
+	}
+	return true
 }
 
 // ParseResponses reads a whole observed-responses file (one 0/1 vector

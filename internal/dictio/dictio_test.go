@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -388,6 +390,66 @@ func TestParseVector(t *testing.T) {
 	}
 }
 
+// TestParseVectorsMatchesParseVector checks the word-packed batch parser
+// line by line against ParseVector on the trimmed line: values at every
+// width up to 130 bits (both sides of each word boundary), padded and
+// CRLF-terminated lines, wrong widths, and an invalid byte at every
+// position, whose error text must be ParseVector's.
+func TestParseVectorsMatchesParseVector(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for width := 1; width <= 130; width++ {
+		var lines []string
+		for k := 0; k < 4; k++ {
+			b := make([]byte, width)
+			for j := range b {
+				b[j] = '0' + byte(r.Intn(2))
+			}
+			line := string(b)
+			lines = append(lines, line, " "+line+"  ", line+"\r\n", "\t"+line)
+		}
+		lines = append(lines, strings.Repeat("0", width), strings.Repeat("1", width))
+		got, err := dictio.ParseVectors(lines, width)
+		if err != nil {
+			t.Fatalf("width %d: %v", width, err)
+		}
+		for i, line := range lines {
+			want, err := dictio.ParseVector(strings.TrimSpace(line), width)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got[i], want) {
+				t.Fatalf("width %d, line %q: got %s, want %s", width, line, got[i].String(width), want.String(width))
+			}
+		}
+
+		good := lines[0]
+		bad := []string{good[1:], good + "0"}
+		for pos := 0; pos < width; pos++ {
+			for _, c := range []string{"x", "2", "/", "\x00", "\xb1", " ", "é"} {
+				bad = append(bad, good[:pos]+c+good[pos+1:])
+			}
+		}
+		for _, line := range bad {
+			_, want := dictio.ParseVector(strings.TrimSpace(line), width)
+			_, err := dictio.ParseVectors([]string{good, line}, width)
+			if want == nil || err == nil || err.Error() != "response 2: "+want.Error() {
+				t.Fatalf("width %d, line %q: error %v, want response 2: %v", width, line, err, want)
+			}
+		}
+	}
+
+	// The vectors share one backing array; appending to one must not
+	// overwrite the next.
+	vs, err := dictio.ParseVectors([]string{strings.Repeat("0", 64), strings.Repeat("1", 64)}, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = append(vs[0], 0xdead)
+	if vs[1][0] != ^uint64(0) {
+		t.Fatalf("append to vector 0 overwrote vector 1: %x", vs[1][0])
+	}
+}
+
 func TestParseResponses(t *testing.T) {
 	in := "010\n\n111\n"
 	vs, err := dictio.ParseResponses(strings.NewReader(in), 3)
@@ -399,5 +461,24 @@ func TestParseResponses(t *testing.T) {
 	}
 	if vs[1].PopCount() != 3 {
 		t.Errorf("second vector: %s", vs[1].String(3))
+	}
+}
+
+// BenchmarkParseVectors parses one observation of the serve-hot shape:
+// 779 tests of 52 outputs.
+func BenchmarkParseVectors(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	lines := make([]string, 779)
+	for i := range lines {
+		line := make([]byte, 52)
+		for j := range line {
+			line[j] = '0' + byte(r.Intn(2))
+		}
+		lines[i] = string(line)
+	}
+	for range b.N {
+		if _, err := dictio.ParseVectors(lines, 52); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

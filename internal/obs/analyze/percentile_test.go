@@ -70,7 +70,7 @@ func TestPercentileDegenerateHistograms(t *testing.T) {
 		{"single sample", histOf(t, 5), 4, 7},
 		{"single zero sample", histOf(t, 0), 0, 0},
 		{"single bucket many samples", histOf(t, 4, 5, 6, 7, 4, 7), 4, 7},
-		{"all in one large bucket", histOf(t, 1 << 40, 1<<40+3, 1<<40+9), 1 << 40, 1<<41 - 1},
+		{"all in one large bucket", histOf(t, 1<<40, 1<<40+3, 1<<40+9), 1 << 40, 1<<41 - 1},
 		{"handcrafted inverted bucket", obs.HistSnapshot{
 			Count: 2, Buckets: []obs.HistBucket{{Lo: 8, Hi: 4, N: 2}},
 		}, 8, 8}, // degenerate metadata: report Lo, never interpolate backwards

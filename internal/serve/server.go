@@ -21,6 +21,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -354,8 +355,11 @@ type pathRequest struct {
 }
 
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 32<<20))
-	if err := dec.Decode(v); err != nil {
+	body, ok := readBody(w, r)
+	if !ok {
+		return false
+	}
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(v); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding request body: %v", err)
 		return false
 	}
@@ -458,8 +462,13 @@ type DiagnoseResponse struct {
 func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	sp := obs.SpanFrom(r.Context())
 	sp.BeginStage("decode")
-	var req DiagnoseRequest
-	if !decodeBody(w, r, &req) {
+	body, ok := readBody(w, r)
+	if !ok {
+		return
+	}
+	req, err := decodeDiagnoseRequest(body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "decoding request body: %v", err)
 		return
 	}
 	if req.Dictionary == "" {
