@@ -43,13 +43,16 @@ race:
 
 # Short fuzz passes over the .bench parser, the SAT solver (verdict
 # against brute force, model against every clause), the hashed circuit
-# encoder (verdict against exhaustive simulation) and the /diagnose body
-# decoder (request and error against encoding/json); CI-friendly budget.
+# encoder (verdict against exhaustive simulation), the /diagnose body
+# decoder (request and error against encoding/json) and the case-store
+# snapshot/journal decoder (cases and error against encoding/json);
+# CI-friendly budget.
 fuzz:
 	$(GO) test -run=FuzzParse -fuzz=FuzzParse -fuzztime=30s ./internal/bench/
 	$(GO) test -run=FuzzSolveMatchesBruteForce -fuzz=FuzzSolveMatchesBruteForce -fuzztime=30s ./internal/sat/
 	$(GO) test -run=FuzzSolveOutputOneMatchesExhaustive -fuzz=FuzzSolveOutputOneMatchesExhaustive -fuzztime=30s ./internal/atpg/
 	$(GO) test -run=FuzzDecodeDiagnoseMatchesJSON -fuzz=FuzzDecodeDiagnoseMatchesJSON -fuzztime=30s ./internal/serve/
+	$(GO) test -run=FuzzDecodeCasesMatchesJSON -fuzz=FuzzDecodeCasesMatchesJSON -fuzztime=30s ./internal/casestore/
 
 # Parallel-layer benchmarks (restart search, fault-sim sharding, sweep
 # rows) at workers=1 vs N plus the partition scan/refine microbenchmarks

@@ -97,6 +97,7 @@ func run(ctx context.Context) error {
 
 	var cases *casestore.Store
 	if *caseDir != "" {
+		start := time.Now()
 		backend, err := casestore.OpenDir(*caseDir, casestore.FileOptions{SnapshotEvery: *snapEvery})
 		if err != nil {
 			return fmt.Errorf("opening case store: %w", err)
@@ -107,8 +108,11 @@ func run(ctx context.Context) error {
 			return fmt.Errorf("opening case store: %w", err)
 		}
 		defer cases.Close()
-		fmt.Printf("sddserve: case store %s (%d prior cases, recall budget %d)\n",
-			*caseDir, cases.Len(), *recall)
+		// The open time is the replay cost; a nonzero decline count means
+		// values fell off the fast decoder onto encoding/json (DESIGN.md
+		// §15, "Opening the store").
+		fmt.Printf("sddserve: case store %s (%d prior cases, recall budget %d, opened in %d ms, %d values declined to encoding/json)\n",
+			*caseDir, cases.Len(), *recall, time.Since(start).Milliseconds(), backend.Declined())
 	}
 
 	srv := serve.New(serve.Config{
@@ -135,13 +139,14 @@ func run(ctx context.Context) error {
 			info.Path, info.Circuit, info.Kind, info.Faults, info.Tests, info.Checksum)
 	}
 
-	// Start-up, mostly the case-store snapshot decode, can leave the heap
+	// Start-up, mostly the case-store snapshot read, can leave the heap
 	// goal at twice a transient peak instead of twice what serving keeps
-	// live: 163–313 MB across restarts of one 10^5-case store that holds
-	// ~81 MB once serving. The steady-state resident set then depends on
-	// where the last start-up collection fell. One collection resets the
-	// goal. It costs 35–45 ms there, so it runs only when the goal is
-	// large enough for that to matter; a 10^4-case store leaves 12–26 MB.
+	// live: 131 MB on every restart of one 10^5-case store (its 66 MB
+	// snapshot buffer is live at the only start-up collection) that holds
+	// ~47 MB once serving. The steady-state resident set then depends on
+	// where the next collection falls. One collection resets the goal. It
+	// costs 28–48 ms there, so it runs only when the goal is large enough
+	// for that to matter; a 10^4-case store leaves 13 MB.
 	goal := []metrics.Sample{{Name: "/gc/heap/goal:bytes"}}
 	metrics.Read(goal)
 	if goal[0].Value.Kind() == metrics.KindUint64 && goal[0].Value.Uint64() > 64<<20 {

@@ -1,7 +1,7 @@
 package casestore
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"sddict/internal/core"
 	"sddict/internal/faultfs"
@@ -51,6 +50,7 @@ type FileStore struct {
 	sinceRotate  int
 	loaded       []Case
 	snapshotTail []Case // everything currently durable, for the next snapshot
+	declined     int    // snapshot/journal values the open decoded with encoding/json
 }
 
 // FileOptions parameterizes OpenDir. The zero value is usable.
@@ -80,7 +80,9 @@ func OpenDir(dir string, opt FileOptions) (*FileStore, error) {
 		return nil, err
 	}
 	fst.loaded = cases
-	fst.snapshotTail = append([]Case(nil), cases...)
+	// Capacity ends at the length, so the first append copies instead of
+	// writing past the loaded history.
+	fst.snapshotTail = cases[:len(cases):len(cases)]
 	j, err := os.OpenFile(filepath.Join(dir, journalName), os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("casestore: opening journal: %w", err)
@@ -111,35 +113,52 @@ func OpenDir(dir string, opt FileOptions) (*FileStore, error) {
 // case history, plus the journal's sound byte length and whether its
 // final line needs a newline restored (see OpenDir's repair step).
 func (f *FileStore) loadAll() ([]Case, int64, bool, error) {
-	var cases []Case
-	snap, err := f.readSnapshot()
+	dec := newCaseDecoder()
+	cases, err := f.readSnapshot(dec)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	cases = append(cases, snap...)
-	jcases, validLen, needNL, err := f.readJournal()
+	jcases, validLen, needNL, err := f.readJournal(dec)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	seen := make(map[int64]bool, len(cases))
-	for _, c := range cases {
-		seen[c.ID] = true
-	}
-	for _, c := range jcases {
-		if !seen[c.ID] {
+	if len(jcases) > 0 {
+		seen := make(map[int64]bool, len(cases)+len(jcases))
+		for _, c := range cases {
 			seen[c.ID] = true
-			cases = append(cases, c)
+		}
+		for _, c := range jcases {
+			if !seen[c.ID] {
+				seen[c.ID] = true
+				cases = append(cases, c)
+			}
 		}
 	}
 	sort.Slice(cases, func(a, b int) bool { return cases[a].ID < cases[b].ID })
+	f.declined = dec.declined
 	return cases, validLen, needNL, nil
+}
+
+// readFile reads an opened file whole. The buffer is sized from
+// os.Stat up front, so a large snapshot arrives in one allocation
+// instead of io.ReadAll's repeated grow-and-copy; the bytes themselves
+// still come through file, the faultfs seam.
+func readFile(file faultfs.File, name string) ([]byte, error) {
+	var size int64
+	if info, err := os.Stat(name); err == nil {
+		size = info.Size()
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err := buf.ReadFrom(file)
+	return buf.Bytes(), err
 }
 
 // readSnapshot parses snapshot.json; a missing snapshot is an empty
 // history, a damaged one is ErrCorruptStore (it was written atomically,
 // so damage is bit rot, not a crash artifact).
-func (f *FileStore) readSnapshot() ([]Case, error) {
-	file, err := f.fs.Open(filepath.Join(f.dir, snapshotName))
+func (f *FileStore) readSnapshot(dec *caseDecoder) ([]Case, error) {
+	name := filepath.Join(f.dir, snapshotName)
+	file, err := f.fs.Open(name)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return nil, nil
@@ -147,12 +166,12 @@ func (f *FileStore) readSnapshot() ([]Case, error) {
 		return nil, fmt.Errorf("casestore: opening snapshot: %w", err)
 	}
 	defer file.Close()
-	data, err := io.ReadAll(file)
+	data, err := readFile(file, name)
 	if err != nil {
 		return nil, fmt.Errorf("casestore: reading snapshot: %w", err)
 	}
-	var cases []Case
-	if err := json.Unmarshal(data, &cases); err != nil {
+	cases, err := dec.snapshot(data)
+	if err != nil {
 		return nil, fmt.Errorf("casestore: parsing snapshot (atomic write, so this is bit rot): %w: %w", err, ErrCorruptStore)
 	}
 	return cases, nil
@@ -167,8 +186,9 @@ func (f *FileStore) readSnapshot() ([]Case, error) {
 // sound prefix (everything up to and including the last usable line)
 // and whether the final line parsed but is missing its newline — the
 // inputs to OpenDir's torn-tail repair.
-func (f *FileStore) readJournal() ([]Case, int64, bool, error) {
-	file, err := f.fs.Open(filepath.Join(f.dir, journalName))
+func (f *FileStore) readJournal(dec *caseDecoder) ([]Case, int64, bool, error) {
+	name := filepath.Join(f.dir, journalName)
+	file, err := f.fs.Open(name)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return nil, 0, false, nil
@@ -176,18 +196,22 @@ func (f *FileStore) readJournal() ([]Case, int64, bool, error) {
 		return nil, 0, false, fmt.Errorf("casestore: opening journal: %w", err)
 	}
 	defer file.Close()
-	br := bufio.NewReader(file)
+	rest, err := readFile(file, name)
+	if err != nil {
+		return nil, 0, false, fmt.Errorf("casestore: reading journal: %w", err)
+	}
 	var cases []Case
 	var valid int64
 	for {
-		line, err := br.ReadString('\n')
-		if err != nil && !errors.Is(err, io.EOF) {
-			return nil, 0, false, fmt.Errorf("casestore: reading journal: %w", err)
+		line, complete := rest, false
+		if i := bytes.IndexByte(rest, '\n'); i >= 0 {
+			line, rest, complete = rest[:i+1], rest[i+1:], true
+		} else {
+			rest = nil
 		}
-		complete := err == nil
-		if trimmed := strings.TrimSpace(line); trimmed != "" {
-			var c Case
-			if uerr := json.Unmarshal([]byte(trimmed), &c); uerr != nil {
+		if trimmed := bytes.TrimSpace(line); len(trimmed) > 0 {
+			c, uerr := dec.line(trimmed)
+			if uerr != nil {
 				if !complete {
 					// Torn tail: the writer died mid-append. Keep the prefix.
 					return cases, valid, false, nil
@@ -213,7 +237,8 @@ func (f *FileStore) readJournal() ([]Case, int64, bool, error) {
 }
 
 // Append journals c durably (one write, fsync'd) and rotates journal
-// into snapshot every snapshotEvery appends.
+// into snapshot every snapshotEvery appends. An error means c is not
+// durable; a failed rotation is retried on the next append instead.
 func (f *FileStore) Append(c Case) error {
 	line, err := json.Marshal(c)
 	if err != nil {
@@ -228,9 +253,11 @@ func (f *FileStore) Append(c Case) error {
 	f.snapshotTail = append(f.snapshotTail, c)
 	f.sinceRotate++
 	if f.snapshotEvery > 0 && f.sinceRotate >= f.snapshotEvery {
-		if err := f.rotate(); err != nil {
-			return err
-		}
+		// The case is durable once the journal line is synced, so a
+		// failed rotation does not fail the append: the caller would
+		// otherwise reuse the case's ID. sinceRotate stays unreset and
+		// the next append retries the rotation.
+		_ = f.rotate()
 	}
 	return nil
 }
@@ -258,6 +285,13 @@ func (f *FileStore) rotate() error {
 // Cases returns the history loaded at open. Appends made through this
 // handle are tracked by the Store's index, not replayed here.
 func (f *FileStore) Cases() ([]Case, error) { return f.loaded, nil }
+
+// Declined returns how many snapshot and journal values the open had
+// to decode with encoding/json because they fell outside the fast
+// decoder's grammar (DESIGN.md §15, "Opening the store"). For a store
+// this package wrote it is the number of values holding a string that
+// encoding/json escapes or that is not ASCII.
+func (f *FileStore) Declined() int { return f.declined }
 
 // Close releases the journal handle.
 func (f *FileStore) Close() error {

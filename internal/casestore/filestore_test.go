@@ -4,17 +4,21 @@ package casestore
 // truncation matrix over every byte offset of the journal (a crash-torn
 // tail must never fail the open, only shorten the history), corruption
 // verdicts for damage that cannot be a crash artifact, snapshot
-// rotation, and the crash window between snapshot and truncate.
+// rotation (and its failure), the crash window between snapshot and
+// truncate, and reopen equality across both decode paths.
 
 import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"sddict/internal/faultfs"
+	"sddict/internal/logic"
 )
 
 // openFileStore opens dir and fails the test on error.
@@ -278,5 +282,147 @@ func TestTornWriteRecovery(t *testing.T) {
 	cases, _ = h.Cases()
 	if len(cases) != 5 || cases[4].ID != 6 {
 		t.Fatalf("append after torn-tail repair: %d cases (ids %v), want 1-4 and 6", len(cases), caseIDs(cases))
+	}
+}
+
+// recordAll records cases through a Store over the file backend at dir
+// and returns them as recorded (IDs and timestamps assigned).
+func recordAll(t *testing.T, dir string, opt FileOptions, cases []Case) []Case {
+	t.Helper()
+	s, err := Open(openFileStore(t, dir, opt), Options{Clock: fixedClock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []Case
+	for _, c := range cases {
+		rec, err := s.Record(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, rec)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestRoundTripDeclinedValues: a history whose snapshot and journal
+// both hold names encoding/json escapes (or that carry non-ASCII bytes)
+// reopens equal to what was recorded, with exactly those values decoded
+// by encoding/json and every other one by the fast path.
+func TestRoundTripDeclinedValues(t *testing.T) {
+	cases := genCases(rand.New(rand.NewSource(2)), 7, faultNames(4))
+	cases[1].Candidates[0].Name = escapedNames[0] // snapshot: cases 1-4
+	cases[4].Circuit = "s953 é"                   // journal: cases 5-7
+	cases[5].Candidates[0].Name = escapedNames[2]
+	dir := t.TempDir()
+	recorded := recordAll(t, dir, FileOptions{SnapshotEvery: 4}, cases)
+
+	f := openFileStore(t, dir, FileOptions{SnapshotEvery: 4})
+	got, _ := f.Cases()
+	if !reflect.DeepEqual(got, recorded) {
+		t.Fatalf("reopened history differs from the recorded one:\n got %+v\nwant %+v", got, recorded)
+	}
+	if f.Declined() != 3 {
+		t.Errorf("Declined() = %d, want 3 (the snapshot and journal lines 1 and 2)", f.Declined())
+	}
+
+	plain := t.TempDir()
+	recordAll(t, plain, FileOptions{SnapshotEvery: 4}, genCases(rand.New(rand.NewSource(2)), 7, faultNames(4)))
+	if g := openFileStore(t, plain, FileOptions{SnapshotEvery: 4}); g.Declined() != 0 {
+		t.Errorf("plain history: Declined() = %d, want 0", g.Declined())
+	}
+}
+
+// TestDecodedSlicesEndAtLength: loaded signatures and candidate lists
+// share slabs, so each must end its capacity at its length — an append
+// to one case reallocates instead of overwriting its neighbour.
+func TestDecodedSlicesEndAtLength(t *testing.T) {
+	dir := t.TempDir()
+	recordAll(t, dir, FileOptions{SnapshotEvery: 4}, genCases(rand.New(rand.NewSource(3)), 6, faultNames(4)))
+	f := openFileStore(t, dir, FileOptions{SnapshotEvery: 4})
+	if f.Declined() != 0 {
+		t.Fatalf("Declined() = %d, want the fast path for every value", f.Declined())
+	}
+	cases, _ := f.Cases()
+	for _, c := range cases {
+		checkWindows(t, c)
+	}
+	next := cases[1].Signature[0]
+	_ = append(cases[0].Signature, ^next)
+	_ = append(cases[0].Candidates, Candidate{Name: "appended"})
+	if cases[1].Signature[0] != next || cases[1].Candidates[0].Name == "appended" {
+		t.Error("an append to case 1 wrote into case 2")
+	}
+}
+
+// TestJournalAndSnapshotReopenIdentically: the same history held only
+// in the journal and only in the snapshot reopens to the same cases.
+func TestJournalAndSnapshotReopenIdentically(t *testing.T) {
+	cases := genCases(rand.New(rand.NewSource(4)), 5, faultNames(6))
+	journalDir, snapDir := t.TempDir(), t.TempDir()
+	recorded := recordAll(t, journalDir, FileOptions{SnapshotEvery: -1}, cases)
+	recordAll(t, snapDir, FileOptions{SnapshotEvery: len(cases)}, cases)
+	if info, err := os.Stat(filepath.Join(snapDir, journalName)); err != nil || info.Size() != 0 {
+		t.Fatalf("snapshot-only store: journal %v, %v; want empty", info, err)
+	}
+	if _, err := os.Stat(filepath.Join(journalDir, snapshotName)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("journal-only store has a snapshot: %v", err)
+	}
+	fromJournal, _ := openFileStore(t, journalDir, FileOptions{SnapshotEvery: -1}).Cases()
+	fromSnap, _ := openFileStore(t, snapDir, FileOptions{SnapshotEvery: -1}).Cases()
+	if !reflect.DeepEqual(fromJournal, recorded) || !reflect.DeepEqual(fromSnap, recorded) {
+		t.Fatalf("reopened histories differ:\njournal  %+v\nsnapshot %+v\nrecorded %+v", fromJournal, fromSnap, recorded)
+	}
+}
+
+// TestFailedRotationKeepsCaseDurable: once its journal line is synced a
+// case is durable, so a failed snapshot rotation must not fail the
+// append — the Store would roll the ID back and hand it out again. The
+// rotation is retried on the next append.
+func TestFailedRotationKeepsCaseDurable(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(openFileStore(t, dir, FileOptions{SnapshotEvery: 1}), Options{Clock: fixedClock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A non-empty directory where the snapshot goes makes the rename fail.
+	blocker := filepath.Join(dir, snapshotName)
+	if err := os.MkdirAll(filepath.Join(blocker, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i, sig := range []uint64{0b01, 0b10} {
+		rec, err := s.Record(exactCase("aaaa", []uint64{sig}, i))
+		if err != nil {
+			t.Fatalf("record %d with a failing rotation: %v", i+1, err)
+		}
+		if rec.ID != int64(i+1) {
+			t.Errorf("record %d got ID %d", i+1, rec.ID)
+		}
+		if rc := s.Recall("aaaa", logic.BitVec{sig}, 5); rc.Kind != Exact || rc.Case.ID != rec.ID {
+			t.Errorf("durable case %d not indexed: %+v", rec.ID, rc)
+		}
+	}
+	s.Close()
+
+	if err := os.RemoveAll(blocker); err != nil {
+		t.Fatal(err)
+	}
+	g, err := Open(openFileStore(t, dir, FileOptions{SnapshotEvery: 1}), Options{Clock: fixedClock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids := caseIDs(g.Cases()); !reflect.DeepEqual(ids, []int64{1, 2}) {
+		t.Fatalf("reopened IDs %v, want [1 2]", ids)
+	}
+	// With the blocker gone the retried rotation succeeds.
+	if _, err := g.Record(exactCase("aaaa", []uint64{0b11}, 2)); err != nil {
+		t.Fatal(err)
+	}
+	g.Close()
+	var snapped []Case
+	if data, err := os.ReadFile(blocker); err != nil || json.Unmarshal(data, &snapped) != nil || len(snapped) != 3 {
+		t.Fatalf("snapshot after the retried rotation: %d cases (%v), want 3", len(snapped), err)
 	}
 }
