@@ -108,11 +108,12 @@ func run(ctx context.Context) error {
 			return fmt.Errorf("opening case store: %w", err)
 		}
 		defer cases.Close()
-		// The open time is the replay cost; a nonzero decline count means
+		// The open time is the replay cost; the near-servable count is
+		// what one near recall scans; a nonzero decline count means
 		// values fell off the fast decoder onto encoding/json (DESIGN.md
 		// §15, "Opening the store").
-		fmt.Printf("sddserve: case store %s (%d prior cases, recall budget %d, opened in %d ms, %d values declined to encoding/json)\n",
-			*caseDir, cases.Len(), *recall, time.Since(start).Milliseconds(), backend.Declined())
+		fmt.Printf("sddserve: case store %s (%d prior cases, %d near-servable, recall budget %d, opened in %d ms, %d values declined to encoding/json)\n",
+			*caseDir, cases.Len(), cases.NearServable(), *recall, time.Since(start).Milliseconds(), backend.Declined())
 	}
 
 	srv := serve.New(serve.Config{

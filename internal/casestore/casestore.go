@@ -127,8 +127,9 @@ type Options struct {
 
 // Store is the recall front over a backend: an in-memory index of every
 // recorded case, keyed by artifact checksum, with a hash map for exact
-// matches and a linear XOR+popcount scan for near matches. All methods
-// are safe for concurrent use.
+// matches and a linear XOR+popcount scan over the near-servable
+// (exact-outcome) cases for near matches. All methods are safe for
+// concurrent use.
 type Store struct {
 	backend Backend
 	budget  int
@@ -143,7 +144,8 @@ type Store struct {
 // dictIndex is the per-artifact recall index.
 type dictIndex struct {
 	exact map[uint64][]*Case // Signature hash -> cases (hash collisions re-verified)
-	cases []*Case            // ID ascending, for near scans and listing
+	cases []*Case            // ID ascending, for listing
+	near  []*Case            // the exact-outcome cases, ID ascending, for near scans
 }
 
 // Open builds a Store over backend, loading every previously recorded
@@ -201,7 +203,23 @@ func (s *Store) indexLocked(c *Case) {
 	h := c.sig().Hash()
 	di.exact[h] = append(di.exact[h], c)
 	di.cases = append(di.cases, c)
+	if c.Exact {
+		di.near = append(di.near, c)
+	}
 	s.total++
+}
+
+// NearServable returns how many recorded cases a near recall can serve:
+// the exact-outcome ones, summed over every artifact. A near recall
+// scans at most this many cases.
+func (s *Store) NearServable() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	n := 0
+	for _, di := range s.byDict {
+		n += len(di.near)
+	}
+	return n
 }
 
 // Recall matches sig against prior cases recorded for the artifact with
@@ -228,13 +246,14 @@ func (s *Store) Recall(checksum string, sig logic.BitVec, topK int) Recall {
 	if s.budget < 0 {
 		return Recall{Kind: Miss}
 	}
+	// Only exact-outcome cases are near-servable: a ranked fallback
+	// recorded for a different signature has distances relative to that
+	// signature, not this one. di.near holds exactly those, in ID order,
+	// so the strict < below keeps the lowest-ID tie-break.
 	var best *Case
 	bestDist := s.budget + 1
-	for _, c := range di.cases {
-		if len(c.Signature) != len(sig) || !c.Exact {
-			// Only exact-outcome cases are near-servable: a ranked
-			// fallback recorded for a different signature has distances
-			// relative to that signature, not this one.
+	for _, c := range di.near {
+		if len(c.Signature) != len(sig) {
 			continue
 		}
 		if d := c.sig().Hamming(sig); d < bestDist {

@@ -2,10 +2,13 @@ package casestore
 
 // White-box tests for the recall front: exact/near/miss verdicts,
 // topK compatibility, confidence discounting, deterministic tie-breaks,
-// and the Store/Backend contract.
+// the near list against the all-cases scan, and the Store/Backend
+// contract; and the near-recall benchmark.
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -216,6 +219,129 @@ func TestRecallKindString(t *testing.T) {
 	for k, want := range map[RecallKind]string{Miss: "miss", Near: "near", Exact: "exact"} {
 		if got := k.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", k, got, want)
+		}
+	}
+}
+
+// linearRecall is Recall with the near loop over every case of the
+// artifact, skipping the ranked ones, and the exact step as a linear
+// scan too: the reference TestNearRecallMatchesLinearScan holds the
+// indexed Recall to.
+func linearRecall(s *Store, checksum string, sig logic.BitVec, topK int) Recall {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	di := s.byDict[checksum]
+	if di == nil {
+		return Recall{Kind: Miss}
+	}
+	for _, c := range di.cases {
+		if len(c.Signature) == len(sig) && c.sig().Equal(sig) && (c.Exact || c.TopK == topK) {
+			return Recall{Kind: Exact, Case: c, Confidence: 1}
+		}
+	}
+	if s.budget < 0 {
+		return Recall{Kind: Miss}
+	}
+	var best *Case
+	bestDist := s.budget + 1
+	for _, c := range di.cases {
+		if len(c.Signature) != len(sig) || !c.Exact {
+			continue
+		}
+		if d := c.sig().Hamming(sig); d < bestDist {
+			best, bestDist = c, d
+		}
+	}
+	if best == nil || bestDist == 0 || bestDist > s.budget {
+		return Recall{Kind: Miss}
+	}
+	return Recall{Kind: Near, Case: best, Distance: bestDist, Confidence: 1 - float64(bestDist)/float64(s.budget+1)}
+}
+
+// TestNearRecallMatchesLinearScan: over random stores — two artifacts,
+// mixed exact and ranked outcomes, one- and two-word signatures drawn
+// from a space small enough for duplicates and distance ties — every
+// recall verdict equals the all-cases scan's, for each budget, with
+// records interleaved and across a reopen of the file store.
+func TestNearRecallMatchesLinearScan(t *testing.T) {
+	for budget := -1; budget <= 3; budget++ {
+		r := rand.New(rand.NewSource(int64(10 + budget)))
+		randSig := func() logic.BitVec {
+			sig := logic.BitVec{r.Uint64() & 0x3f}
+			if r.Intn(3) == 0 {
+				sig = append(sig, r.Uint64()&1)
+			}
+			return sig
+		}
+		checksums := []string{"aaaa", "bbbb"}
+		dir := t.TempDir()
+		open := func() *Store {
+			s, err := Open(openFileStore(t, dir, FileOptions{SnapshotEvery: 5}), Options{Budget: budget, Clock: fixedClock})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		s := open()
+		kinds := map[RecallKind]int{}
+		for step := range 400 {
+			if step == 200 {
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				s = open()
+			}
+			checksum := checksums[r.Intn(len(checksums))]
+			if r.Intn(2) == 0 {
+				c := exactCase(checksum, randSig(), r.Intn(8))
+				c.Exact = r.Intn(2) == 0
+				c.TopK = 1 + r.Intn(3)
+				if _, err := s.Record(c); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			sig, topK := randSig(), 1+r.Intn(3)
+			got, want := s.Recall(checksum, sig, topK), linearRecall(s, checksum, sig, topK)
+			if got != want {
+				t.Fatalf("budget %d, step %d: Recall(%s, %x, %d) = %+v, the all-cases scan gives %+v",
+					budget, step, checksum, sig, topK, got, want)
+			}
+			kinds[got.Kind]++
+		}
+		s.Close()
+		if kinds[Exact] == 0 || kinds[Miss] == 0 || budget > 0 && kinds[Near] == 0 {
+			t.Errorf("budget %d: verdicts %v; want every kind the budget allows", budget, kinds)
+		}
+	}
+}
+
+// BenchmarkRecallNear is a near recall that misses the exact index on
+// a 10^5-case artifact of which 1.4% are exact outcomes, the shape of
+// the serve-hot store: one pass over the near-servable cases.
+func BenchmarkRecallNear(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	mem := NewMem()
+	cases := genCases(r, 100_000, faultNames(1000))
+	for i := range cases {
+		cases[i].Exact = i%70 == 0
+		if err := mem.Append(cases[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	s, err := Open(mem, Options{Clock: fixedClock})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Three flips off an exact-outcome case: outside the default budget
+	// of 2, so the scan runs to the end and the verdict is a miss.
+	sig := logic.BitVec(slices.Clone(cases[70].Signature))
+	sig[0] ^= 0b111
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if rc := s.Recall("671cd543", sig, 5); rc.Kind != Miss {
+			b.Fatalf("recall %v, want miss", rc.Kind)
 		}
 	}
 }

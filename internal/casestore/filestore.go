@@ -39,6 +39,11 @@ const (
 // a snapshot, so a crash between the two steps duplicates cases rather
 // than losing them, and the dedup makes the duplicate harmless.
 //
+// A rotation never re-encodes the history: it copies the current
+// snapshot up to its closing bracket and appends the encodings of the
+// cases the snapshot does not hold yet (DESIGN.md §15, "Periodic
+// snapshot").
+//
 // FileStore methods are not themselves concurrency-safe; the Store
 // front serializes access.
 type FileStore struct {
@@ -46,11 +51,17 @@ type FileStore struct {
 	fs            faultfs.FS
 	snapshotEvery int
 
-	journal      *os.File
-	sinceRotate  int
-	loaded       []Case
-	snapshotTail []Case // everything currently durable, for the next snapshot
-	declined     int    // snapshot/journal values the open decoded with encoding/json
+	journal     *os.File
+	sinceRotate int
+	loaded      []Case
+	// snapHead is the offset of the snapshot's closing ']', 0 when there
+	// is no snapshot or it holds no case. pending holds the comma-joined
+	// json.Marshal encodings of the durable cases the snapshot does not
+	// hold, in the order the next rotation appends them; it stays empty
+	// when snapshots are disabled.
+	snapHead int64
+	pending  []byte
+	declined int // snapshot/journal values the open decoded with encoding/json
 }
 
 // FileOptions parameterizes OpenDir. The zero value is usable.
@@ -80,9 +91,6 @@ func OpenDir(dir string, opt FileOptions) (*FileStore, error) {
 		return nil, err
 	}
 	fst.loaded = cases
-	// Capacity ends at the length, so the first append copies instead of
-	// writing past the loaded history.
-	fst.snapshotTail = cases[:len(cases):len(cases)]
 	j, err := os.OpenFile(filepath.Join(dir, journalName), os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("casestore: opening journal: %w", err)
@@ -111,13 +119,16 @@ func OpenDir(dir string, opt FileOptions) (*FileStore, error) {
 
 // loadAll reads snapshot + journal and returns the deduped, ID-sorted
 // case history, plus the journal's sound byte length and whether its
-// final line needs a newline restored (see OpenDir's repair step).
+// final line needs a newline restored (see OpenDir's repair step). It
+// sets snapHead and queues the journal-only cases, in journal order,
+// as the next rotation's pending tail.
 func (f *FileStore) loadAll() ([]Case, int64, bool, error) {
 	dec := newCaseDecoder()
-	cases, err := f.readSnapshot(dec)
+	cases, head, err := f.readSnapshot(dec)
 	if err != nil {
 		return nil, 0, false, err
 	}
+	f.snapHead = head
 	jcases, validLen, needNL, err := f.readJournal(dec)
 	if err != nil {
 		return nil, 0, false, err
@@ -131,6 +142,13 @@ func (f *FileStore) loadAll() ([]Case, int64, bool, error) {
 			if !seen[c.ID] {
 				seen[c.ID] = true
 				cases = append(cases, c)
+				if f.snapshotEvery > 0 {
+					line, err := json.Marshal(c)
+					if err != nil {
+						return nil, 0, false, fmt.Errorf("casestore: encoding journal case %d: %w", c.ID, err)
+					}
+					f.addPending(line)
+				}
 			}
 		}
 	}
@@ -155,26 +173,32 @@ func readFile(file faultfs.File, name string) ([]byte, error) {
 
 // readSnapshot parses snapshot.json; a missing snapshot is an empty
 // history, a damaged one is ErrCorruptStore (it was written atomically,
-// so damage is bit rot, not a crash artifact).
-func (f *FileStore) readSnapshot(dec *caseDecoder) ([]Case, error) {
+// so damage is bit rot, not a crash artifact). It also returns the
+// offset of the closing ']' — the last byte before trailing white space
+// of an array that decoded — or 0 when there is no case to splice after.
+func (f *FileStore) readSnapshot(dec *caseDecoder) ([]Case, int64, error) {
 	name := filepath.Join(f.dir, snapshotName)
 	file, err := f.fs.Open(name)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return nil, nil
+			return nil, 0, nil
 		}
-		return nil, fmt.Errorf("casestore: opening snapshot: %w", err)
+		return nil, 0, fmt.Errorf("casestore: opening snapshot: %w", err)
 	}
 	defer file.Close()
 	data, err := readFile(file, name)
 	if err != nil {
-		return nil, fmt.Errorf("casestore: reading snapshot: %w", err)
+		return nil, 0, fmt.Errorf("casestore: reading snapshot: %w", err)
 	}
 	cases, err := dec.snapshot(data)
 	if err != nil {
-		return nil, fmt.Errorf("casestore: parsing snapshot (atomic write, so this is bit rot): %w: %w", err, ErrCorruptStore)
+		return nil, 0, fmt.Errorf("casestore: parsing snapshot (atomic write, so this is bit rot): %w: %w", err, ErrCorruptStore)
 	}
-	return cases, nil
+	var head int64
+	if len(cases) > 0 {
+		head = int64(len(bytes.TrimRight(data, " \t\r\n"))) - 1
+	}
+	return cases, head, nil
 }
 
 // readJournal parses journal.jsonl with obs.ReadEvents semantics: a
@@ -250,7 +274,7 @@ func (f *FileStore) Append(c Case) error {
 	if err := f.journal.Sync(); err != nil {
 		return fmt.Errorf("casestore: syncing journal: %w", err)
 	}
-	f.snapshotTail = append(f.snapshotTail, c)
+	f.addPending(line)
 	f.sinceRotate++
 	if f.snapshotEvery > 0 && f.sinceRotate >= f.snapshotEvery {
 		// The case is durable once the journal line is synced, so a
@@ -262,24 +286,73 @@ func (f *FileStore) Append(c Case) error {
 	return nil
 }
 
+// addPending queues one case's json.Marshal encoding for the next
+// rotation.
+func (f *FileStore) addPending(line []byte) {
+	if f.snapshotEvery <= 0 {
+		return
+	}
+	if len(f.pending) > 0 {
+		f.pending = append(f.pending, ',')
+	}
+	f.pending = append(f.pending, line...)
+}
+
 // rotate folds the journal into a fresh snapshot and truncates the
-// journal. Order matters for crash safety: the snapshot (atomic
-// temp+rename) lands first, so a crash before the truncate merely
-// leaves journal entries that the snapshot already holds — deduped by
-// ID on the next open.
+// journal. The new snapshot is the current one up to its closing ']',
+// then ',' (or '[' when there is none), the pending encodings and
+// "]\n": for a snapshot encoding/json wrote, byte for byte what
+// encoding/json writes for the whole history, since it writes an array
+// as '[', the elements' json.Marshal bytes joined by ',', and ']'.
+// Order matters for crash safety: the snapshot (atomic temp+rename)
+// lands first, so a crash before the truncate merely leaves journal
+// entries that the snapshot already holds — deduped by ID on the next
+// open. A failed write keeps snapHead and pending for the retry.
 func (f *FileStore) rotate() error {
-	err := core.AtomicWriteFile(filepath.Join(f.dir, snapshotName), func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		return enc.Encode(f.snapshotTail)
+	name := filepath.Join(f.dir, snapshotName)
+	err := core.AtomicWriteFile(name, func(w io.Writer) error {
+		open := "["
+		if f.snapHead > 0 {
+			if err := copyHead(w, name, f.snapHead); err != nil {
+				return err
+			}
+			open = ","
+		}
+		if _, err := io.WriteString(w, open); err != nil {
+			return err
+		}
+		if _, err := w.Write(f.pending); err != nil {
+			return err
+		}
+		_, err := io.WriteString(w, "]\n")
+		return err
 	})
 	if err != nil {
 		return fmt.Errorf("casestore: writing snapshot: %w", err)
 	}
+	f.snapHead += 1 + int64(len(f.pending))
+	f.pending = f.pending[:0]
 	if err := f.journal.Truncate(0); err != nil {
 		return fmt.Errorf("casestore: truncating journal after snapshot: %w", err)
 	}
 	f.sinceRotate = 0
 	return nil
+}
+
+// copyHead copies the first n bytes of the file at name to w. A plain
+// io.Copy from a LimitReader lets a bufio.Writer over an *os.File hand
+// the copy to the kernel (copy_file_range) instead of through memory.
+func copyHead(w io.Writer, name string, n int64) error {
+	src, err := os.Open(name)
+	if err != nil {
+		return err
+	}
+	defer src.Close()
+	copied, err := io.Copy(w, io.LimitReader(src, n))
+	if err == nil && copied < n {
+		err = fmt.Errorf("%s: %d of %d head bytes: %w", name, copied, n, io.ErrUnexpectedEOF)
+	}
+	return err
 }
 
 // Cases returns the history loaded at open. Appends made through this

@@ -5,16 +5,20 @@ package casestore
 // tail must never fail the open, only shorten the history), corruption
 // verdicts for damage that cannot be a crash artifact, snapshot
 // rotation (and its failure), the crash window between snapshot and
-// truncate, and reopen equality across both decode paths.
+// truncate, reopen equality across both decode paths, the spliced
+// rotation against a full re-encoding, and the rotation benchmark.
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"sddict/internal/faultfs"
@@ -424,5 +428,218 @@ func TestFailedRotationKeepsCaseDurable(t *testing.T) {
 	var snapped []Case
 	if data, err := os.ReadFile(blocker); err != nil || json.Unmarshal(data, &snapped) != nil || len(snapped) != 3 {
 		t.Fatalf("snapshot after the retried rotation: %d cases (%v), want 3", len(snapped), err)
+	}
+	checkSnapshot(t, dir, g.Cases())
+}
+
+// encodeAll is the rotation before the splice: encoding/json over the
+// whole history, ID ascending. The spliced snapshot is held to it.
+func encodeAll(t testing.TB, cases []Case) []byte {
+	t.Helper()
+	sorted := slices.Clone(cases)
+	slices.SortStableFunc(sorted, func(a, b Case) int { return cmp.Compare(a.ID, b.ID) })
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(sorted); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// checkSnapshot fails unless dir's snapshot is encodeAll(all).
+func checkSnapshot(t *testing.T, dir string, all []Case) {
+	t.Helper()
+	got, err := os.ReadFile(filepath.Join(dir, snapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := encodeAll(t, all); !bytes.Equal(got, want) {
+		t.Fatalf("snapshot of %d cases differs from the full encoding:\n got %q\nwant %q", len(all), got, want)
+	}
+}
+
+// TestRotationMatchesFullEncode: every spliced rotation writes the
+// bytes encoding/json writes for the whole history — across several
+// rotations, a reopen over a non-empty journal, a failed rotation and
+// its retry, and the crash window between snapshot and truncate — with
+// names encoding/json escapes or that are not ASCII.
+func TestRotationMatchesFullEncode(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	names := append(faultNames(4), escapedNames...)
+	opt := FileOptions{SnapshotEvery: 3}
+	var all []Case
+	rotations := 0
+	// add appends n generated cases to f, the store at dir, and checks
+	// the snapshot after each rotation.
+	add := func(f *FileStore, dir string, n int) {
+		t.Helper()
+		for _, c := range genCases(r, n, names) {
+			c.ID = int64(len(all) + 1)
+			if err := f.Append(c); err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, c)
+			if f.sinceRotate == 0 {
+				rotations++
+				checkSnapshot(t, dir, all)
+			}
+		}
+	}
+
+	dir := t.TempDir()
+	f := openFileStore(t, dir, opt)
+	add(f, dir, 10) // rotations after cases 3, 6 and 9; the journal keeps 10
+	f.Close()
+	g := openFileStore(t, dir, opt)
+	if len(g.pending) == 0 {
+		t.Fatal("reopen over a journal holding case 10 has nothing pending")
+	}
+	add(g, dir, 4) // rotation after case 13 folds in case 10
+	g.Close()
+
+	// A failed rotation keeps its pending cases for the retry: with the
+	// snapshot moved aside and a directory in its place, the rotation
+	// after case 17 fails; the one after case 18 succeeds.
+	h := openFileStore(t, dir, opt)
+	snap := filepath.Join(dir, snapshotName)
+	if err := os.Rename(snap, snap+".aside"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(snap, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	add(h, dir, 3)
+	if rotations != 4 || h.sinceRotate != 3 {
+		t.Fatalf("blocked rotation: %d rotations, %d appends since; want 4 and 3", rotations, h.sinceRotate)
+	}
+	if err := os.RemoveAll(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(snap+".aside", snap); err != nil {
+		t.Fatal(err)
+	}
+	add(h, dir, 1)
+	h.Close()
+
+	// The crash window: the snapshot holds cases 1-15 and the journal
+	// still holds 13-18, so 16-18 are journal-only at open.
+	crash := t.TempDir()
+	if err := os.WriteFile(filepath.Join(crash, snapshotName), encodeAll(t, all[:15]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var journal []byte
+	for _, c := range all[12:] {
+		line, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		journal = append(append(journal, line...), '\n')
+	}
+	if err := os.WriteFile(filepath.Join(crash, journalName), journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	k := openFileStore(t, crash, opt)
+	add(k, crash, 3)
+	k.Close()
+	if rotations != 6 {
+		t.Errorf("%d rotations checked, want 6", rotations)
+	}
+	reopened, _ := openFileStore(t, crash, opt).Cases()
+	if !reflect.DeepEqual(reopened, all) {
+		t.Errorf("reopen after the crash-window rotation: ids %v, want 1-%d", caseIDs(reopened), len(all))
+	}
+}
+
+// TestRotationOverNonCanonicalSnapshot: a snapshot encoding/json did
+// not write byte for byte — white space, an empty array, null, escapes
+// it would not write, cases out of ID order — rotates into one that
+// reopens to the cases a full re-encoding gives.
+func TestRotationOverNonCanonicalSnapshot(t *testing.T) {
+	cases := genCases(rand.New(rand.NewSource(7)), 4, faultNames(4))
+	cases[1].Candidates[0].Name = escapedNames[2]
+	enc := make([]string, len(cases))
+	for i, c := range cases {
+		line, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc[i] = string(line)
+	}
+	// \u0067 is g: encoding/json decodes the escape but never writes it.
+	plainEscape := strings.Replace(enc[0], `"name":"g`, `"name":"\u0067`, 1)
+	if plainEscape == enc[0] {
+		t.Fatal("no candidate name to escape")
+	}
+	for _, tc := range []struct {
+		name, snapshot, journal string
+	}{
+		{"white space", " [ " + enc[0] + " ,\n\t" + enc[1] + "\r\n] \n\n", ""},
+		{"white space and journal", "[" + enc[0] + "]  ", enc[1] + "\n" + enc[2] + "\n"},
+		{"empty array", "[]", ""},
+		{"empty array and journal", "[ \n ]\n", enc[0] + "\n"},
+		{"null", "null", ""},
+		{"null and journal", "null\n", enc[0] + "\n" + enc[1] + "\n"},
+		{"declined escapes", "[" + plainEscape + "," + enc[1] + "]", enc[2] + "\n"},
+		{"out of ID order", "[" + enc[2] + "," + enc[0] + "]\n", enc[1] + "\n" + enc[2] + "\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, snapshotName), []byte(tc.snapshot), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, journalName), []byte(tc.journal), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			opt := FileOptions{SnapshotEvery: 2}
+			f := openFileStore(t, dir, opt)
+			loaded, _ := f.Cases()
+			history := slices.Clone(loaded)
+			for _, c := range genCases(rand.New(rand.NewSource(8)), 2, escapedNames) {
+				c.ID = int64(10 + len(history))
+				if err := f.Append(c); err != nil {
+					t.Fatal(err)
+				}
+				history = append(history, c)
+			}
+			f.Close()
+			if data, _ := os.ReadFile(filepath.Join(dir, journalName)); len(data) != 0 {
+				t.Fatalf("journal holds %q after the rotation", data)
+			}
+			var want []Case
+			if err := json.Unmarshal(encodeAll(t, history), &want); err != nil {
+				t.Fatal(err)
+			}
+			got, _ := openFileStore(t, dir, opt).Cases()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("reopened after the rotation:\n got %+v\nwant %+v", got, want)
+			}
+		})
+	}
+}
+
+// BenchmarkRotate appends to a 10^4-case store with a rotation after
+// every append, the shape of the serve-cold store: the journal append
+// and its fsync, then the snapshot rewrite and its fsyncs.
+func BenchmarkRotate(b *testing.B) {
+	dir := b.TempDir()
+	cases := genCases(rand.New(rand.NewSource(1)), 10_000, faultNames(1000))
+	if err := os.WriteFile(filepath.Join(dir, snapshotName), encodeAll(b, cases), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	f, err := OpenDir(dir, FileOptions{SnapshotEvery: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	extra := genCases(rand.New(rand.NewSource(2)), 1, faultNames(1000))[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		extra.ID = int64(len(cases) + 1 + i)
+		if err := f.Append(extra); err != nil {
+			b.Fatal(err)
+		}
+		if f.sinceRotate != 0 {
+			b.Fatal("append did not rotate")
+		}
 	}
 }
