@@ -181,6 +181,42 @@ func TestResponseMatrixWorkersIdentical(t *testing.T) {
 	}
 }
 
+// TestPrepareWorkersIdentical: test generation captures responses at
+// the row's worker count, and must produce the same test set and the
+// same ATPG counters at every one. s298/diag runs diagnostic generation
+// with redundancy screening that reuses detection's SAT proofs.
+func TestPrepareWorkersIdentical(t *testing.T) {
+	var refKeys []string
+	var refCounters map[string]int64
+	for _, workers := range workerCounts() {
+		ob := &obs.Observer{Metrics: obs.NewMetrics()}
+		pr, err := experiment.PrepareProfile("s298", experiment.Diagnostic, experiment.Config{Seed: 1, Workers: workers, Obs: ob})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		keys := make([]string, pr.Tests.Len())
+		for j, v := range pr.Tests.Vecs {
+			keys[j] = v.Key()
+		}
+		counters := ob.M().Snapshot().Counters
+		if refKeys == nil {
+			refKeys, refCounters = keys, counters
+			if counters["atpg_sat_calls"] == 0 || counters["atpg_sat_reused"] == 0 {
+				t.Fatalf("workers=%d: atpg counters %v record no SAT work", workers, counters)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(keys, refKeys) {
+			t.Fatalf("workers=%d: test set differs from workers=1", workers)
+		}
+		for _, name := range []string{"atpg_podem_aborts", "atpg_sat_calls", "atpg_sat_reused", "atpg_sat_conflicts"} {
+			if counters[name] != refCounters[name] {
+				t.Fatalf("workers=%d: %s = %d, workers=1 recorded %d", workers, name, counters[name], refCounters[name])
+			}
+		}
+	}
+}
+
 // TestCheckpointResumeAcrossWorkerCounts interrupts a parallel build
 // mid-restart-phase, then resumes it at every worker count; each resumed
 // run must land exactly on the uninterrupted workers=1 result — the

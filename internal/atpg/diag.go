@@ -2,6 +2,7 @@ package atpg
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sort"
 
@@ -36,6 +37,10 @@ type DiagConfig struct {
 	SATConflictBudget int64
 	// MaxSATCalls caps SAT calls per run (0 = unlimited).
 	MaxSATCalls int
+	// Workers bounds the fault-simulation parallelism of response capture
+	// (0 = one per available CPU, 1 = sequential). The test set is
+	// identical at every setting.
+	Workers int
 }
 
 // DefaultDiagConfig returns a reasonable diagnostic-generation setup.
@@ -60,6 +65,10 @@ type DiagStats struct {
 	Rounds      int
 	MiterCalls  int // pair attempts, each one SAT call unless SAT is closed
 	SATCalls    int // SAT calls, redundancy screening and pairs together
+	// SATReused counts the screening calls answered by a carried
+	// detection proof instead of a solver run; they are included in
+	// SATCalls, and their conflicts in SATConflicts.
+	SATReused int
 	// SATConflicts sums the solver conflicts of every SAT call, a
 	// deterministic measure of the SAT work.
 	SATConflicts int64
@@ -81,17 +90,29 @@ type DiagStats struct {
 // are targeted one at a time with SAT on the pair's miter (a test driving
 // the two-faulty-copy miter output to 1 distinguishes the pair), until
 // every remaining pair is proven equivalent or exceeds the effort budget.
+// It carries no detection proofs (see GenerateDiagnosticCtx).
 func GenerateDiagnostic(c *netlist.Circuit, faults []fault.Fault, base *pattern.Set, cfg DiagConfig) (*pattern.Set, DiagStats) {
-	return GenerateDiagnosticCtx(context.Background(), c, faults, base, cfg)
+	return GenerateDiagnosticCtx(context.Background(), c, faults, base, nil, cfg)
 }
 
 // GenerateDiagnosticCtx is GenerateDiagnostic under a context, honoured at
 // batch and pair granularity. On cancellation it degrades gracefully: the
 // distinguishing tests added so far are kept and the base detection set is
 // never lost; DiagStats.Interrupted is set.
-func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, base *pattern.Set, cfg DiagConfig) (*pattern.Set, DiagStats) {
+//
+// proofs, when non-nil, is GenStats.SATProofs from the detection run that
+// produced base on the same circuit and fault list. Redundancy screening
+// takes a carried proof of k conflicts instead of calling SAT whenever
+// k ≤ cfg.SATConflictBudget: the screening call would build the same
+// miter and run the same deterministic search, which the budget only
+// stops, so it would reach the same UNSAT after the same k conflicts.
+// The test set and every stat except SATReused are as without proofs.
+func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, base *pattern.Set, proofs []int64, cfg DiagConfig) (*pattern.Set, DiagStats) {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	if proofs != nil && len(proofs) != len(faults) {
+		panic(fmt.Sprintf("atpg: %d carried proofs for %d faults", len(proofs), len(faults)))
 	}
 	r := rand.New(rand.NewSource(cfg.Seed))
 	view := netlist.NewScanView(c)
@@ -105,7 +126,7 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 	p := core.NewPartition(len(faults))
 	detected := make([]bool, len(faults))
 	{
-		m, err := resp.BuildCtx(ctx, view, faults, tests)
+		m, err := resp.BuildWorkersCtx(ctx, cfg.Workers, view, faults, tests)
 		if err != nil {
 			stats.Interrupted = true
 			return tests, stats
@@ -118,6 +139,18 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 				}
 			}
 		}
+	}
+
+	// build captures the responses of sub under set at the configured
+	// worker count. It returns nil, and marks the run interrupted, if the
+	// context is cancelled first.
+	build := func(sub []fault.Fault, set *pattern.Set) *resp.Matrix {
+		m, err := resp.BuildWorkersCtx(ctx, cfg.Workers, view, sub, set)
+		if err != nil {
+			stats.Interrupted = true
+			return nil
+		}
+		return m
 	}
 
 	// refineWith refines the partition by new tests, fault-simulating only
@@ -141,7 +174,10 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 		for li, fi := range live {
 			sub[li] = faults[fi]
 		}
-		m := resp.Build(view, sub, newTests)
+		m := build(sub, newTests)
+		if m == nil {
+			return
+		}
 		row := make([]int32, len(faults))
 		for j := 0; j < m.K; j++ {
 			for li, fi := range live {
@@ -206,7 +242,10 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 			for i := 0; i < 64; i++ {
 				cand.Add(pattern.Random(r, tests.Width))
 			}
-			m := resp.Build(view, sub, cand)
+			m := build(sub, cand)
+			if m == nil {
+				return
+			}
 			kept := 0
 			for j := 0; j < m.K; j++ {
 				for li, fi := range live {
@@ -251,6 +290,14 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 			}
 			if !satOpen() {
 				break
+			}
+			if proofs != nil && proofs[i] >= 0 && proofs[i] <= cfg.SATConflictBudget {
+				stats.SATCalls++
+				stats.SATReused++
+				stats.SATConflicts += proofs[i]
+				redundant[i] = true
+				satUseless = 0
+				continue
 			}
 			miter, err := BuildDetectionMiter(c, faults[i])
 			if err != nil {

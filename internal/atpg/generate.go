@@ -57,6 +57,11 @@ type GenStats struct {
 	Detected    int // faults detected at least once
 	NDetected   int // faults detected at least NDetect times
 	Faults      int // faults targeted
+	// PodemAborts counts PODEM runs stopped at the backtrack limit,
+	// including those the SAT fallback then settled.
+	PodemAborts int
+	// SATCalls counts SAT fallback calls.
+	SATCalls int
 	// ModelMismatches counts SAT models that failed re-simulation on the
 	// circuit; each was treated as Aborted. It stays 0 unless the solver
 	// or the miter encoding is wrong.
@@ -64,6 +69,11 @@ type GenStats struct {
 	// SATConflicts sums the solver conflicts of every SAT fallback call, a
 	// deterministic measure of the SAT work.
 	SATConflicts int64
+	// SATProofs holds, per fault, the conflict count of the SAT fallback
+	// call that proved the fault redundant, or -1 where none did. Passed
+	// to GenerateDiagnosticCtx, these proofs spare its redundancy
+	// screening the same calls.
+	SATProofs []int64
 	// Interrupted is set when generation stopped early on context
 	// cancellation or deadline; the returned test set is valid but may
 	// leave faults short of their detection targets.
@@ -104,7 +114,10 @@ func GenerateDetectionCtx(ctx context.Context, c *netlist.Circuit, faults []faul
 	s := sim.New(view)
 	width := view.NumInputs()
 	tests := pattern.NewSet(width)
-	stats := GenStats{Faults: len(faults)}
+	stats := GenStats{Faults: len(faults), SATProofs: make([]int64, len(faults))}
+	for i := range stats.SATProofs {
+		stats.SATProofs[i] = -1
+	}
 
 	counts := make([]int, len(faults))
 	dead := make([]bool, len(faults)) // untestable or given up
@@ -202,6 +215,9 @@ func GenerateDetectionCtx(ctx context.Context, c *netlist.Circuit, faults []faul
 				continue
 			}
 			cube, status := eng.Generate(faults[fi])
+			if status == Aborted {
+				stats.PodemAborts++
+			}
 			if status == Aborted && abortTries[fi] >= 1 && cfg.SATConflictBudget > 0 {
 				// Second structural abort: escalate to the complete SAT
 				// procedure on the detection miter.
@@ -209,9 +225,13 @@ func GenerateDetectionCtx(ctx context.Context, c *netlist.Circuit, faults []faul
 					detects := func(v pattern.Vector) bool { return VectorDetects(c, faults[fi], v) }
 					if v, sstatus, conflicts, mismatch, serr := solveMiter(miter, cfg.SATConflictBudget, detects); serr == nil {
 						cube, status = v, sstatus
+						stats.SATCalls++
 						stats.SATConflicts += conflicts
 						if mismatch {
 							stats.ModelMismatches++
+						}
+						if sstatus == Untestable {
+							stats.SATProofs[fi] = conflicts
 						}
 					}
 				}

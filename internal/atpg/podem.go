@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"sddict/internal/fault"
 	"sddict/internal/logic"
@@ -52,6 +53,18 @@ type Engine struct {
 	c    *netlist.Circuit
 	view *netlist.ScanView
 	val  []logic.V5
+
+	// The circuit in flat arrays, so evaluation never touches the
+	// netlist.Gate records: per-gate type and level, and the fanin and
+	// fanout lists in CSR form (gate g's fanins are
+	// fanin[faninOff[g]:faninOff[g+1]], likewise fanout).
+	typ       []netlist.GateType
+	level     []int32
+	faninOff  []int32
+	fanin     []int32
+	fanoutOff []int32
+	fanout    []int32
+
 	// piVal holds the current PI decisions (ternary); val is derived from
 	// it by implication.
 	piVal []logic.Value
@@ -68,14 +81,27 @@ type Engine struct {
 	lo, hi  int32
 
 	target fault.Fault
-	isPO   []bool
-	scoap  *netlist.SCOAP
-	ctx    context.Context // optional; cancels Generate with Aborted
+	// cone is the target's fanout cone (its site gate included) in
+	// ascending gate order, set by start. Only gates in it can carry a
+	// fault effect, so dFrontier walks it instead of the whole circuit.
+	cone  []int32
+	isPO  []bool
+	scoap *netlist.SCOAP
+	ctx   context.Context // optional; cancels Generate with Aborted
 
-	// scratch
-	in      []logic.V5
-	visited []uint32
-	visitID uint32
+	// scratch, reused across calls
+	visited  []uint32
+	visitID  uint32
+	stack    []decision
+	frontier []int32
+	xins     []int32
+	xstack   []int32
+}
+
+// decision is one PI assignment on the PODEM search stack.
+type decision struct {
+	gate    int32
+	flipped bool
 }
 
 // NewEngine returns an engine for the combinational circuit c. The circuit
@@ -83,12 +109,6 @@ type Engine struct {
 func NewEngine(c *netlist.Circuit) *Engine {
 	if len(c.DFFs) != 0 {
 		panic("atpg: engine requires a combinational circuit; call netlist.Combinationalize")
-	}
-	maxFanin := 0
-	for i := range c.Gates {
-		if n := len(c.Gates[i].Fanin); n > maxFanin {
-			maxFanin = n
-		}
 	}
 	e := &Engine{
 		BacktrackLimit: 100,
@@ -99,10 +119,10 @@ func NewEngine(c *netlist.Circuit) *Engine {
 		slot:           make([]int32, len(c.Gates)),
 		bucket:         make([][]int32, c.MaxLevel()+1),
 		queued:         make([]bool, len(c.Gates)),
-		in:             make([]logic.V5, maxFanin),
 		visited:        make([]uint32, len(c.Gates)),
 	}
 	e.lo, e.hi = int32(len(e.bucket)), -1
+	e.flatten()
 	for i := range e.slot {
 		e.slot[i] = -1
 	}
@@ -122,6 +142,35 @@ func NewEngine(c *netlist.Circuit) *Engine {
 	return e
 }
 
+// flatten copies the circuit's gate types, levels, fanin and fanout lists
+// into the engine's flat arrays.
+func (e *Engine) flatten() {
+	c := e.c
+	n := len(c.Gates)
+	e.typ = make([]netlist.GateType, n)
+	e.level = make([]int32, n)
+	e.faninOff = make([]int32, n+1)
+	e.fanoutOff = make([]int32, n+1)
+	for g := range c.Gates {
+		e.typ[g] = c.Gates[g].Type
+		e.level[g] = c.Level(int32(g))
+		e.faninOff[g+1] = e.faninOff[g] + int32(len(c.Gates[g].Fanin))
+		e.fanoutOff[g+1] = e.fanoutOff[g] + int32(len(c.Fanout(int32(g))))
+	}
+	e.fanin = make([]int32, 0, e.faninOff[n])
+	e.fanout = make([]int32, 0, e.fanoutOff[n])
+	for g := range c.Gates {
+		e.fanin = append(e.fanin, c.Gates[g].Fanin...)
+		e.fanout = append(e.fanout, c.Fanout(int32(g))...)
+	}
+}
+
+// faninOf returns gate g's fanin list from the flat arrays.
+func (e *Engine) faninOf(g int32) []int32 { return e.fanin[e.faninOff[g]:e.faninOff[g+1]] }
+
+// fanoutOf returns gate g's fanout list from the flat arrays.
+func (e *Engine) fanoutOf(g int32) []int32 { return e.fanout[e.fanoutOff[g]:e.fanoutOff[g+1]] }
+
 // Randomize installs a random source used to diversify backtrace and
 // D-frontier choices, so repeated runs on the same fault yield different
 // cubes. A nil source restores deterministic behaviour.
@@ -139,11 +188,7 @@ func (e *Engine) SetContext(ctx context.Context) { e.ctx = ctx }
 func (e *Engine) Generate(f fault.Fault) (pattern.Vector, Status) {
 	e.start(f)
 
-	type decision struct {
-		gate    int32
-		flipped bool
-	}
-	var stack []decision
+	e.stack = e.stack[:0]
 	backtracks := 0
 
 	for {
@@ -162,20 +207,20 @@ func (e *Engine) Generate(f fault.Fault) (pattern.Vector, Status) {
 			pi, v := e.backtrace(objGate, objVal)
 			// Backtrace can dead-end on an already-assigned input or a
 			// constant; treat that like an infeasible state.
-			if e.c.Gates[pi].Type == netlist.Input && !e.piVal[pi].Known() {
+			if e.typ[pi] == netlist.Input && !e.piVal[pi].Known() {
 				e.setPI(pi, v)
 				e.settle()
-				stack = append(stack, decision{gate: pi})
+				e.stack = append(e.stack, decision{gate: pi})
 				continue
 			}
 		}
 		// Dead end: flip the most recent unflipped decision; fully tried
 		// decisions unwind.
 		for {
-			if len(stack) == 0 {
+			if len(e.stack) == 0 {
 				return nil, Untestable
 			}
-			top := &stack[len(stack)-1]
+			top := &e.stack[len(e.stack)-1]
 			if !top.flipped {
 				backtracks++
 				if backtracks > e.BacktrackLimit {
@@ -186,7 +231,7 @@ func (e *Engine) Generate(f fault.Fault) (pattern.Vector, Status) {
 				break
 			}
 			e.setPI(top.gate, logic.X)
-			stack = stack[:len(stack)-1]
+			e.stack = e.stack[:len(e.stack)-1]
 		}
 		e.settle()
 	}
@@ -197,6 +242,7 @@ func (e *Engine) Generate(f fault.Fault) (pattern.Vector, Status) {
 // difference from it lies in the site's fanout cone, which settle reaches.
 // Events left pending by an early return from the previous Generate are
 // settled against this fresh state, which re-evaluates them harmlessly.
+// start also records the site's fanout cone for dFrontier.
 func (e *Engine) start(f fault.Fault) {
 	e.target = f
 	for i := range e.piVal {
@@ -205,6 +251,19 @@ func (e *Engine) start(f fault.Fault) {
 	copy(e.val, e.freeVal)
 	e.schedule(f.Gate)
 	e.settle()
+
+	e.visitID++
+	e.cone = append(e.cone[:0], f.Gate)
+	e.visited[f.Gate] = e.visitID
+	for i := 0; i < len(e.cone); i++ {
+		for _, s := range e.fanoutOf(e.cone[i]) {
+			if e.visited[s] != e.visitID {
+				e.visited[s] = e.visitID
+				e.cone = append(e.cone, s)
+			}
+		}
+	}
+	slices.Sort(e.cone)
 }
 
 // setPI assigns a primary input and schedules it for settle.
@@ -219,7 +278,7 @@ func (e *Engine) schedule(g int32) {
 		return
 	}
 	e.queued[g] = true
-	l := e.c.Level(g)
+	l := e.level[g]
 	e.bucket[l] = append(e.bucket[l], g)
 	e.lo, e.hi = min(e.lo, l), max(e.hi, l)
 }
@@ -235,7 +294,7 @@ func (e *Engine) settle() {
 			e.queued[g] = false
 			if v := e.evalGate(g); v != e.val[g] {
 				e.val[g] = v
-				for _, s := range e.c.Fanout(g) {
+				for _, s := range e.fanoutOf(g) {
 					e.schedule(s)
 				}
 			}
@@ -255,12 +314,12 @@ func (e *Engine) imply() {
 }
 
 // evalGate computes gate g's five-valued value from its fanin values (or,
-// for an input, its assignment), injecting the target fault.
+// for an input, its assignment). The target fault is injected at its own
+// gate only: a branch fault replaces its pin's faulty half, a stem fault
+// the output's.
 func (e *Engine) evalGate(g int32) logic.V5 {
-	f := e.target
-	gate := &e.c.Gates[g]
 	var v logic.V5
-	switch gate.Type {
+	switch t := e.typ[g]; t {
 	case netlist.Input:
 		v = logic.FromPair(e.piVal[g], e.piVal[g])
 	case netlist.Const0:
@@ -268,24 +327,58 @@ func (e *Engine) evalGate(g int32) logic.V5 {
 	case netlist.Const1:
 		v = logic.O5
 	default:
-		in := e.in[:len(gate.Fanin)]
-		for pin, d := range gate.Fanin {
-			in[pin] = e.val[d]
+		fin := e.faninOf(g)
+		pin, pv := int32(-1), logic.X5
+		if g == e.target.Gate && !e.target.IsStem() {
+			pin = e.target.Pin
+			pv = logic.FromPair(e.val[fin[pin]].Good(), logic.FromBit(uint64(e.target.Stuck)))
 		}
-		if f.Gate == g && !f.IsStem() {
-			in[f.Pin] = logic.FromPair(in[f.Pin].Good(), logic.FromBit(uint64(f.Stuck)))
+		fd := &folds[t]
+		v = fd.init
+		for k, d := range fin {
+			x := e.val[d]
+			if int32(k) == pin {
+				x = pv
+			}
+			v = fd.op[v][x]
 		}
-		v = eval5(gate.Type, in)
+		if fd.inv {
+			v = v.Not5()
+		}
 	}
-	if f.Gate == g && f.IsStem() {
-		v = logic.FromPair(v.Good(), logic.FromBit(uint64(f.Stuck)))
+	if g == e.target.Gate && e.target.IsStem() {
+		v = logic.FromPair(v.Good(), logic.FromBit(uint64(e.target.Stuck)))
 	}
 	return v
 }
 
+// fold5 is a gate type's five-valued evaluation: the inputs fold left to
+// right through op from init, and inv complements the result. The
+// five-valued operators are not associative (a D-D' product is known
+// where the same inputs regrouped with an X are not), so the order is
+// part of the definition. Buf and Not are one-input AND and NAND.
+type fold5 struct {
+	op   *[5][5]logic.V5
+	init logic.V5
+	inv  bool
+}
+
 // Five-valued AND, OR and XOR as lookup tables, built from the logic
-// package's definitions so the two cannot disagree.
-var and5, or5, xor5 = table5(logic.And5), table5(logic.Or5), table5(logic.Xor5)
+// package's definitions so the two cannot disagree, and the fold of every
+// logic gate type over them.
+var (
+	and5, or5, xor5 = table5(logic.And5), table5(logic.Or5), table5(logic.Xor5)
+	folds           = [...]fold5{
+		netlist.Buf:  {&and5, logic.O5, false},
+		netlist.Not:  {&and5, logic.O5, true},
+		netlist.And:  {&and5, logic.O5, false},
+		netlist.Nand: {&and5, logic.O5, true},
+		netlist.Or:   {&or5, logic.Z5, false},
+		netlist.Nor:  {&or5, logic.Z5, true},
+		netlist.Xor:  {&xor5, logic.Z5, false},
+		netlist.Xnor: {&xor5, logic.Z5, true},
+	}
+)
 
 func table5(op func(a, b logic.V5) logic.V5) (t [5][5]logic.V5) {
 	for a := range t {
@@ -294,45 +387,6 @@ func table5(op func(a, b logic.V5) logic.V5) (t [5][5]logic.V5) {
 		}
 	}
 	return t
-}
-
-// eval5 evaluates one gate in the five-valued calculus, folding its inputs
-// left to right.
-func eval5(t netlist.GateType, in []logic.V5) logic.V5 {
-	switch t {
-	case netlist.Buf:
-		return in[0]
-	case netlist.Not:
-		return in[0].Not5()
-	case netlist.And, netlist.Nand:
-		v := logic.O5
-		for _, x := range in {
-			v = and5[v][x]
-		}
-		if t == netlist.Nand {
-			v = v.Not5()
-		}
-		return v
-	case netlist.Or, netlist.Nor:
-		v := logic.Z5
-		for _, x := range in {
-			v = or5[v][x]
-		}
-		if t == netlist.Nor {
-			v = v.Not5()
-		}
-		return v
-	case netlist.Xor, netlist.Xnor:
-		v := logic.Z5
-		for _, x := range in {
-			v = xor5[v][x]
-		}
-		if t == netlist.Xnor {
-			v = v.Not5()
-		}
-		return v
-	}
-	panic(fmt.Sprintf("atpg: eval5 of %s", t))
 }
 
 // detected reports whether a fault effect has reached an output.
@@ -351,7 +405,7 @@ func (e *Engine) faultSiteGoodValue() logic.Value {
 	if e.target.IsStem() {
 		return e.val[e.target.Gate].Good()
 	}
-	d := e.c.Gates[e.target.Gate].Fanin[e.target.Pin]
+	d := e.faninOf(e.target.Gate)[e.target.Pin]
 	return e.val[d].Good()
 }
 
@@ -368,7 +422,7 @@ func (e *Engine) objective() (g int32, v logic.Value, feasible bool) {
 		if e.target.IsStem() {
 			return e.target.Gate, want, true
 		}
-		return e.c.Gates[e.target.Gate].Fanin[e.target.Pin], want, true
+		return e.faninOf(e.target.Gate)[e.target.Pin], want, true
 	}
 	// Fault excited; drive the D-frontier.
 	frontier := e.dFrontier()
@@ -382,15 +436,15 @@ func (e *Engine) objective() (g int32, v logic.Value, feasible bool) {
 	if e.rng != nil {
 		pick = frontier[e.rng.Intn(len(frontier))]
 	}
-	gate := &e.c.Gates[pick]
 	// Objective: set an X input of the frontier gate to the gate's
 	// non-controlling value (any value for XOR-family gates).
-	var xins []int32
-	for _, d := range gate.Fanin {
+	xins := e.xins[:0]
+	for _, d := range e.faninOf(pick) {
 		if e.val[d] == logic.X5 {
 			xins = append(xins, d)
 		}
 	}
+	e.xins = xins
 	if len(xins) == 0 {
 		// Cannot happen for a frontier gate, but fail safe.
 		return 0, logic.X, false
@@ -399,7 +453,7 @@ func (e *Engine) objective() (g int32, v logic.Value, feasible bool) {
 	if e.rng != nil {
 		choose = xins[e.rng.Intn(len(xins))]
 	}
-	switch gate.Type {
+	switch e.typ[pick] {
 	case netlist.And, netlist.Nand:
 		return choose, logic.One, true
 	case netlist.Or, netlist.Nor:
@@ -410,31 +464,39 @@ func (e *Engine) objective() (g int32, v logic.Value, feasible bool) {
 }
 
 // dFrontier returns the gates whose output is X while at least one fanin
-// carries a fault effect. For a branch fault the effect first exists on the
-// faulty pin itself (not on any gate output), so the faulty gate joins the
-// frontier when its pin carries a D and its output is still X.
+// carries a fault effect, in ascending gate order. For a branch fault the
+// effect first exists on the faulty pin itself (not on any gate output),
+// so the faulty gate joins the frontier when its pin carries a D and its
+// output is still X. Every such gate lies in the target's fanout cone, so
+// walking the cone in ascending order yields exactly a full scan's list.
+// The slice is engine scratch, valid until the next call.
 func (e *Engine) dFrontier() []int32 {
-	var frontier []int32
-	for i := range e.c.Gates {
-		g := int32(i)
-		if e.val[g] != logic.X5 || e.c.IsSource(g) {
+	frontier := e.frontier[:0]
+	for _, g := range e.cone {
+		if e.val[g] != logic.X5 {
 			continue
 		}
+		switch e.typ[g] {
+		case netlist.Input, netlist.Const0, netlist.Const1:
+			continue
+		}
+		fin := e.faninOf(g)
 		if !e.target.IsStem() && e.target.Gate == g {
-			d := e.c.Gates[i].Fanin[e.target.Pin]
+			d := fin[e.target.Pin]
 			pv := logic.FromPair(e.val[d].Good(), logic.FromBit(uint64(e.target.Stuck)))
 			if pv.IsD() {
 				frontier = append(frontier, g)
 				continue
 			}
 		}
-		for _, d := range e.c.Gates[i].Fanin {
+		for _, d := range fin {
 			if e.val[d].IsD() {
 				frontier = append(frontier, g)
 				break
 			}
 		}
 	}
+	e.frontier = frontier
 	return frontier
 }
 
@@ -442,25 +504,25 @@ func (e *Engine) dFrontier() []int32 {
 // X-valued gates (the classic X-path check).
 func (e *Engine) xPathExists(frontier []int32) bool {
 	e.visitID++
-	var stack []int32
+	e.xstack = e.xstack[:0]
 	for _, g := range frontier {
 		if e.visited[g] != e.visitID {
 			e.visited[g] = e.visitID
-			stack = append(stack, g)
+			e.xstack = append(e.xstack, g)
 		}
 	}
-	for len(stack) > 0 {
-		g := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	for len(e.xstack) > 0 {
+		g := e.xstack[len(e.xstack)-1]
+		e.xstack = e.xstack[:len(e.xstack)-1]
 		if e.isPO[g] {
 			return true
 		}
-		for _, s := range e.c.Fanout(g) {
+		for _, s := range e.fanoutOf(g) {
 			if e.visited[s] == e.visitID || e.val[s] != logic.X5 {
 				continue
 			}
 			e.visited[s] = e.visitID
-			stack = append(stack, s)
+			e.xstack = append(e.xstack, s)
 		}
 	}
 	return false
@@ -470,47 +532,48 @@ func (e *Engine) xPathExists(frontier []int32) bool {
 // unassigned primary input, returning the PI and the value to try.
 func (e *Engine) backtrace(g int32, v logic.Value) (int32, logic.Value) {
 	for {
-		gate := &e.c.Gates[g]
-		if gate.Type == netlist.Input {
+		t := e.typ[g]
+		if t == netlist.Input {
 			return g, v
 		}
-		switch gate.Type {
+		fin := e.faninOf(g)
+		switch t {
 		case netlist.Buf:
-			g = gate.Fanin[0]
+			g = fin[0]
 		case netlist.Not:
-			g, v = gate.Fanin[0], v.Not()
+			g, v = fin[0], v.Not()
 		case netlist.And, netlist.Nand:
 			eff := v
-			if gate.Type == netlist.Nand {
+			if t == netlist.Nand {
 				eff = v.Not()
 			}
 			if eff == logic.One {
 				// All inputs must be 1: attack the hardest-to-set-1 first.
-				g, v = e.pickX(gate, logic.One, true), logic.One
+				g, v = e.pickX(fin, logic.One, true), logic.One
 			} else {
 				// One 0 suffices: take the easiest-to-set-0 input.
-				g, v = e.pickX(gate, logic.Zero, false), logic.Zero
+				g, v = e.pickX(fin, logic.Zero, false), logic.Zero
 			}
 		case netlist.Or, netlist.Nor:
 			eff := v
-			if gate.Type == netlist.Nor {
+			if t == netlist.Nor {
 				eff = v.Not()
 			}
 			if eff == logic.Zero {
-				g, v = e.pickX(gate, logic.Zero, true), logic.Zero
+				g, v = e.pickX(fin, logic.Zero, true), logic.Zero
 			} else {
-				g, v = e.pickX(gate, logic.One, false), logic.One
+				g, v = e.pickX(fin, logic.One, false), logic.One
 			}
 		case netlist.Xor, netlist.Xnor:
 			// Choose any X input; required value is the parity of v with
 			// the known inputs (unknown co-inputs assumed 0 — they will be
 			// justified by later objectives if needed).
 			parity := v
-			if gate.Type == netlist.Xnor {
+			if t == netlist.Xnor {
 				parity = parity.Not()
 			}
 			var chosen int32 = -1
-			for _, d := range gate.Fanin {
+			for _, d := range fin {
 				dv := e.val[d].Good()
 				switch {
 				case dv == logic.One:
@@ -521,7 +584,7 @@ func (e *Engine) backtrace(g int32, v logic.Value) (int32, logic.Value) {
 			}
 			if chosen < 0 {
 				// No X input left; fall back to the first fanin.
-				chosen = gate.Fanin[0]
+				chosen = fin[0]
 			}
 			g, v = chosen, parity
 		default:
@@ -532,23 +595,24 @@ func (e *Engine) backtrace(g int32, v logic.Value) (int32, logic.Value) {
 	}
 }
 
-// pickX chooses an X-valued fanin of the gate using SCOAP
+// pickX chooses an X-valued line of a gate's fanin list using SCOAP
 // controllability: when hard is true (every input must take value want)
 // the hardest input is attacked first, otherwise the easiest one is
 // chosen. Falls back to the first fanin if none is X.
-func (e *Engine) pickX(gate *netlist.Gate, want logic.Value, hard bool) int32 {
-	if e.rng != nil && len(gate.Fanin) > 1 {
+func (e *Engine) pickX(fin []int32, want logic.Value, hard bool) int32 {
+	if e.rng != nil && len(fin) > 1 {
 		// Randomized tie-break: pick uniformly among X inputs.
-		var xs []int32
-		for _, d := range gate.Fanin {
+		xs := e.xins[:0]
+		for _, d := range fin {
 			if e.val[d].Good() == logic.X {
 				xs = append(xs, d)
 			}
 		}
+		e.xins = xs
 		if len(xs) > 0 {
 			return xs[e.rng.Intn(len(xs))]
 		}
-		return gate.Fanin[0]
+		return fin[0]
 	}
 	cc := func(d int32) int32 {
 		if want == logic.One {
@@ -558,7 +622,7 @@ func (e *Engine) pickX(gate *netlist.Gate, want logic.Value, hard bool) int32 {
 	}
 	var best int32 = -1
 	var bestCost int32
-	for _, d := range gate.Fanin {
+	for _, d := range fin {
 		if e.val[d].Good() != logic.X {
 			continue
 		}
@@ -568,7 +632,7 @@ func (e *Engine) pickX(gate *netlist.Gate, want logic.Value, hard bool) int32 {
 		}
 	}
 	if best < 0 {
-		return gate.Fanin[0]
+		return fin[0]
 	}
 	return best
 }

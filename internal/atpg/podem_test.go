@@ -1,8 +1,10 @@
 package atpg
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sddict/internal/fault"
@@ -238,6 +240,116 @@ func TestImplyEventsMatchesFull(t *testing.T) {
 				e.settle()
 				check(fmt.Sprintf("step %d", step), f)
 			}
+		}
+	}
+}
+
+// frontierProbe is a context whose Err runs a check and reports no
+// error. Generate consults its context once per step of the search,
+// right before it tests detection and picks the next objective, so the
+// check sees every state the search reaches.
+type frontierProbe struct {
+	context.Context
+	check func()
+}
+
+func (p frontierProbe) Err() error {
+	p.check()
+	return nil
+}
+
+// scanFrontier is the full-circuit D-frontier the cone walk replaces:
+// every non-source gate, in gate order, whose output is X while one of
+// its fanins (or, for a branch fault, its faulty pin) carries a fault
+// effect.
+func scanFrontier(e *Engine) []int32 {
+	var frontier []int32
+	for i := range e.c.Gates {
+		g := int32(i)
+		if e.val[g] != logic.X5 || e.c.IsSource(g) {
+			continue
+		}
+		if !e.target.IsStem() && e.target.Gate == g {
+			d := e.c.Gates[i].Fanin[e.target.Pin]
+			if logic.FromPair(e.val[d].Good(), logic.FromBit(uint64(e.target.Stuck))).IsD() {
+				frontier = append(frontier, g)
+				continue
+			}
+		}
+		for _, d := range e.c.Gates[i].Fanin {
+			if e.val[d].IsD() {
+				frontier = append(frontier, g)
+				break
+			}
+		}
+	}
+	return frontier
+}
+
+// TestConeFrontierMatchesScan runs PODEM over every collapsed fault of
+// s208 and s298, deterministic and randomized, and requires dFrontier to
+// equal the full scan, order included, at every step of every search.
+func TestConeFrontierMatchesScan(t *testing.T) {
+	for _, name := range []string{"s208", "s298"} {
+		for _, randomized := range []bool{false, true} {
+			c := netlist.Combinationalize(gen.Profiles[name].MustGenerate(2))
+			e := NewEngine(c)
+			if randomized {
+				e.Randomize(rand.New(rand.NewSource(1)))
+			}
+			var f fault.Fault
+			steps, nonEmpty := 0, 0
+			e.SetContext(frontierProbe{context.Background(), func() {
+				got, want := e.dFrontier(), scanFrontier(e)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s randomized=%v, fault %s: cone frontier %v, full scan %v",
+						name, randomized, f.Name(c), got, want)
+				}
+				steps++
+				if len(want) > 0 {
+					nonEmpty++
+				}
+			}})
+			for _, f = range fault.Collapse(c).Faults {
+				e.Generate(f)
+			}
+			if nonEmpty == 0 {
+				t.Fatalf("%s randomized=%v: no step had a D-frontier; the test exercised nothing", name, randomized)
+			}
+			t.Logf("%s randomized=%v: %d steps checked, %d with a frontier", name, randomized, steps, nonEmpty)
+		}
+	}
+}
+
+// TestGenerateAllocs: once an engine has run over a circuit's faults,
+// Generate allocates nothing but the cube it returns.
+func TestGenerateAllocs(t *testing.T) {
+	c := netlist.Combinationalize(gen.Profiles["s298"].MustGenerate(2))
+	faults := fault.Collapse(c).Faults
+	e := NewEngine(c)
+	e.Randomize(rand.New(rand.NewSource(1)))
+	for _, f := range faults {
+		e.Generate(f)
+	}
+	var hit, miss fault.Fault
+	foundHit, foundMiss := false, false
+	for _, f := range faults {
+		switch _, status := e.Generate(f); {
+		case status == Success && !foundHit:
+			hit, foundHit = f, true
+		case status != Success && !foundMiss:
+			miss, foundMiss = f, true
+		}
+	}
+	if !foundHit || !foundMiss {
+		t.Fatal("s298 lacks a testable or an untestable fault")
+	}
+	for _, tc := range []struct {
+		f    fault.Fault
+		want float64
+	}{{hit, 1}, {miss, 0}} {
+		if got := testing.AllocsPerRun(50, func() { e.Generate(tc.f) }); got > tc.want {
+			t.Errorf("Generate(%s) allocates %v times, want %v", tc.f.Name(c), got, tc.want)
 		}
 	}
 }

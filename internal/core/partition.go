@@ -52,7 +52,22 @@ type Partition struct {
 	// Scan scratch sized to labCap never reallocates mid-restart.
 	labCap int
 
+	// canon records that the labels are exactly what relabelWith would
+	// give them: dense, numbered by first occurrence in fault order, and
+	// with the group state as rebuild left it. relabelWith and NewPartition set
+	// it, finishSplit clears it. While it holds, a refinement that splits
+	// no group would rewrite every field to its current value, so
+	// RefineByClass skips that rewrite.
+	canon bool
+
 	scratch []int32 // rebuild fill-pointer buffer
+
+	// RefineByClass scratch, reused across calls.
+	prelim  []int32
+	slot    []int32
+	tsz     []int32
+	touched []int32
+	remap   []int32
 }
 
 // Isolated is the label of faults that are already distinguished from all
@@ -62,7 +77,7 @@ const Isolated = int32(-1)
 // NewPartition returns the initial partition: all n faults in one group
 // (every pair is a target, as in Procedure 1 step 1).
 func NewPartition(n int) *Partition {
-	p := &Partition{lab: make([]int32, n)}
+	p := &Partition{lab: make([]int32, n), canon: true}
 	if n < 2 {
 		for i := range p.lab {
 			p.lab[i] = Isolated
@@ -247,6 +262,7 @@ func (p *Partition) splitByClass(l, c int32, class []int32, baseline int32) int6
 // of size 1 becomes isolated. It returns the c·(s−c) pairs removed,
 // updating all maintained state.
 func (p *Partition) finishSplit(l, c int32) int64 {
+	p.canon = false
 	s := p.size[l]
 	os := s - c
 	removed := int64(c) * int64(os)
@@ -308,6 +324,7 @@ func (p *Partition) Clone() *Partition {
 		spanLo:  append([]int32(nil), p.spanLo...),
 		spanHi:  append([]int32(nil), p.spanHi...),
 		labCap:  p.labCap,
+		canon:   p.canon,
 	}
 }
 
@@ -352,30 +369,37 @@ func (p *Partition) RefineByBaseline(class []int32, baseline int32) int64 {
 // New labels are bucketed per group with a counting-sort over class ids
 // (reset via a touched list, no map), then renumbered by first occurrence
 // in fault order — the exact numbering the previous map-based remap plus
-// normalize produced.
+// normalize produced. A test that splits no group changes nothing when
+// the labels are already canonical, and returns 0 without a rewrite; the
+// buffers live on the partition, so that case allocates nothing.
 func (p *Partition) RefineByClass(class []int32) int64 {
-	before := p.pairs
-	n := len(p.lab)
-	prelim := make([]int32, n)
-	for i := range prelim {
-		prelim[i] = -1
-	}
 	var maxc int32 = -1
+	split := false
 	for _, l := range p.labs {
 		if p.size[l] < 2 {
 			continue
 		}
-		for _, f := range p.members[p.spanLo[l]:p.spanHi[l]] {
-			if class[f] > maxc {
-				maxc = class[f]
-			}
+		ms := p.members[p.spanLo[l]:p.spanHi[l]]
+		z0 := class[ms[0]]
+		for _, f := range ms {
+			z := class[f]
+			split = split || z != z0
+			maxc = max(maxc, z)
 		}
 	}
-	slot := make([]int32, maxc+1)
+	if !split && p.canon {
+		return 0
+	}
+	before := p.pairs
+	prelim := growI32(&p.prelim, len(p.lab))
+	for i := range prelim {
+		prelim[i] = -1
+	}
+	slot := growI32(&p.slot, int(maxc+1))
 	for i := range slot {
 		slot[i] = -1
 	}
-	var touched, tsz []int32
+	touched, tsz := p.touched[:0], p.tsz[:0]
 	var ntmp int32
 	for _, l := range p.labs {
 		if p.size[l] < 2 {
@@ -399,18 +423,15 @@ func (p *Partition) RefineByClass(class []int32) int64 {
 			slot[z] = -1
 		}
 	}
-	p.relabel(prelim, tsz)
+	p.touched, p.tsz = touched, tsz
+	p.relabelWith(prelim, tsz, growI32(&p.remap, len(tsz)))
 	return before - p.pairs
 }
 
-// relabel rewrites the label array from preliminary group ids: groups of
-// size ≥ 2 get dense final labels in fault-order first occurrence,
-// everything else becomes isolated. All maintained state is rebuilt.
-func (p *Partition) relabel(prelim, tsz []int32) {
-	p.relabelWith(prelim, tsz, make([]int32, len(tsz)))
-}
-
-// relabelWith is relabel with caller-provided remap scratch (len(tsz)).
+// relabelWith rewrites the label array from preliminary group ids:
+// groups of size ≥ 2 get dense final labels in fault-order first
+// occurrence, everything else becomes isolated. All maintained state is
+// rebuilt. remap is caller-provided scratch of len(tsz).
 func (p *Partition) relabelWith(prelim, tsz, remap []int32) {
 	for i := range remap {
 		remap[i] = -2 // unassigned
@@ -429,6 +450,7 @@ func (p *Partition) relabelWith(prelim, tsz, remap []int32) {
 	}
 	p.next = next
 	p.rebuild()
+	p.canon = true
 }
 
 // Meet intersects two partitions: faults share a group in the result only

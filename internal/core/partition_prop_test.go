@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -229,4 +230,105 @@ func FuzzPartitionRefine(f *testing.F) {
 			}
 		}
 	})
+}
+
+// samePartition fails unless a and b agree on every label, the label
+// bound, the pair count and the group sizes.
+func samePartition(t *testing.T, where string, a, b *Partition) {
+	t.Helper()
+	if a.NumLabels() != b.NumLabels() || a.Pairs() != b.Pairs() {
+		t.Fatalf("%s: %d labels, %d pairs; reference %d labels, %d pairs",
+			where, a.NumLabels(), a.Pairs(), b.NumLabels(), b.Pairs())
+	}
+	for i := 0; i < a.Len(); i++ {
+		if a.Label(i) != b.Label(i) {
+			t.Fatalf("%s: fault %d label %d, reference %d", where, i, a.Label(i), b.Label(i))
+		}
+	}
+	as, bs := a.GroupSizes(), b.GroupSizes()
+	for l := range as {
+		if as[l] != bs[l] {
+			t.Fatalf("%s: group sizes %v, reference %v", where, as, bs)
+		}
+	}
+}
+
+// TestRefineByClassSkipMatchesRelabel pins RefineByClass's no-split skip
+// to the always-relabel path (the same method with canon cleared first)
+// over random sequences of class refinements, baseline refinements
+// (which leave the labels non-canonical), clones and meets. Class rows
+// are often constant per group, so most class refinements split nothing
+// and the skip is taken.
+func TestRefineByClassSkipMatchesRelabel(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	skips := 0
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + r.Intn(40)
+		p, ref := NewPartition(n), NewPartition(n)
+		class := make([]int32, n)
+		for step := 0; step < 30; step++ {
+			where := fmt.Sprintf("trial %d step %d", trial, step)
+			// A row either splits at random or is a function of the
+			// current group, with isolated faults free to differ.
+			byGroup := r.Intn(3) > 0
+			perLabel := make([]int32, p.NumLabels()+1)
+			for l := range perLabel {
+				perLabel[l] = int32(r.Intn(4))
+			}
+			for i := range class {
+				if l := p.Label(i); byGroup && l >= 0 {
+					class[i] = perLabel[l]
+				} else {
+					class[i] = int32(r.Intn(4))
+				}
+			}
+			switch op := r.Intn(10); {
+			case op < 6:
+				canonBefore := p.canon
+				ref.canon = false
+				got, want := p.RefineByClass(class), ref.RefineByClass(class)
+				if got != want {
+					t.Fatalf("%s: RefineByClass removed %d, reference %d", where, got, want)
+				}
+				if canonBefore && got == 0 {
+					skips++
+				}
+			case op < 8:
+				z := int32(r.Intn(4))
+				if got, want := p.RefineByBaseline(class, z), ref.RefineByBaseline(class, z); got != want {
+					t.Fatalf("%s: RefineByBaseline removed %d, reference %d", where, got, want)
+				}
+			case op < 9:
+				p, ref = p.Clone(), ref.Clone()
+			default:
+				other := NewPartitionFromLabels(class)
+				p, ref = Meet(p, other), Meet(ref, other)
+			}
+			samePartition(t, where, p, ref)
+		}
+	}
+	if skips == 0 {
+		t.Fatal("no refinement took the no-split skip; the test exercised nothing")
+	}
+	t.Logf("%d no-split skips checked", skips)
+}
+
+// TestRefineByClassNoSplitAllocs: a refinement that splits no group of
+// a canonical partition allocates nothing.
+func TestRefineByClassNoSplitAllocs(t *testing.T) {
+	const n = 1000
+	p := NewPartition(n)
+	class := make([]int32, n)
+	for i := range class {
+		class[i] = int32(i % 7)
+	}
+	p.RefineByClass(class) // seven groups, canonical labels
+	allocs := testing.AllocsPerRun(100, func() {
+		if p.RefineByClass(class) != 0 {
+			t.Fatal("a repeated row split a group")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("no-split RefineByClass allocates %v times per call, want 0", allocs)
+	}
 }

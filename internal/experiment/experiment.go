@@ -112,9 +112,10 @@ type Config struct {
 	// miter budgets) down for large circuits. 1 = paper-faithful effort.
 	Effort float64
 	// Workers bounds the parallelism inside one row: the response-matrix
-	// fault sweep and the Procedure 1 restart search both fan out across
-	// this many workers (0 = one per available CPU, 1 = sequential). Every
-	// setting produces byte-identical rows (DESIGN.md §9).
+	// fault sweeps (diagnostic test generation's included) and the
+	// Procedure 1 restart search all fan out across this many workers
+	// (0 = one per available CPU, 1 = sequential). Every setting
+	// produces byte-identical rows (DESIGN.md §9).
 	Workers int
 	// DetectCfg, DiagCfg and DictOpts override the scaled defaults when
 	// non-nil.
@@ -266,6 +267,7 @@ func PrepareCtx(ctx context.Context, c *netlist.Circuit, tt TestSetType, cfg Con
 		}
 		set, st := atpg.GenerateDetectionCtx(ctx, comb, col.Faults, dcfg)
 		tests = set
+		recordATPG(cfg.Obs, st, atpg.DiagStats{})
 		info = fmt.Sprintf("10det: %d random + %d podem tests, coverage %.1f%%, %d untestable",
 			st.RandomTests, st.PodemTests, 100*st.Coverage(), st.Untestable)
 	case Diagnostic:
@@ -278,6 +280,7 @@ func PrepareCtx(ctx context.Context, c *netlist.Circuit, tt TestSetType, cfg Con
 		base, st := atpg.GenerateDetectionCtx(ctx, comb, col.Faults, dcfg)
 		gcfg := atpg.DefaultDiagConfig()
 		gcfg.Seed = cfg.Seed + 3
+		gcfg.Workers = cfg.Workers
 		gcfg.MaxMiterCalls = max(200, int(3000*effort))
 		// Large circuits: SAT rarely closes the hardest pairs, so spend
 		// the budget on random distinguishing patience instead.
@@ -295,8 +298,9 @@ func PrepareCtx(ctx context.Context, c *netlist.Circuit, tt TestSetType, cfg Con
 		if cfg.DiagCfg != nil {
 			gcfg = *cfg.DiagCfg
 		}
-		set, dst := atpg.GenerateDiagnosticCtx(ctx, comb, col.Faults, base, gcfg)
+		set, dst := atpg.GenerateDiagnosticCtx(ctx, comb, col.Faults, base, st.SATProofs, gcfg)
 		tests = set
+		recordATPG(cfg.Obs, st, dst)
 		info = fmt.Sprintf("diag: %d detection + %d random + %d miter tests, %d equivalent pairs, %d aborted, coverage %.1f%%",
 			dst.BaseTests, dst.RandomTests, dst.AddedTests, dst.Equivalent, dst.Aborted, 100*st.Coverage())
 	default:
@@ -316,6 +320,18 @@ func PrepareCtx(ctx context.Context, c *netlist.Circuit, tt TestSetType, cfg Con
 			Err: fmt.Errorf("response matrix: %w", merr)}
 	}
 	return &Prepared{Circuit: comb, Faults: col.Faults, Tests: tests, Matrix: m, GenInfo: info}, nil
+}
+
+// recordATPG adds a row's test-generation counters to ob: PODEM aborts,
+// and SAT calls, carried proofs and conflicts over detection and
+// diagnostic generation together. Each is a deterministic outcome count,
+// so the counters are identical at every worker count.
+func recordATPG(ob *obs.Observer, st atpg.GenStats, dst atpg.DiagStats) {
+	m := ob.M()
+	m.Add(obs.ATPGPodemAborts, int64(st.PodemAborts))
+	m.Add(obs.ATPGSATCalls, int64(st.SATCalls+dst.SATCalls))
+	m.Add(obs.ATPGSATReused, int64(dst.SATReused))
+	m.Add(obs.ATPGSATConflicts, st.SATConflicts+dst.SATConflicts)
 }
 
 // BuildRow runs the back half of the pipeline (dictionary construction) on

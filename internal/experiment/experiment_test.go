@@ -116,33 +116,45 @@ func TestPrepareLargeCircuitPaths(t *testing.T) {
 	}
 }
 
-// TestPipelineTestSetChecksums pins the test sets of the benchmark's
-// diagnostic rows (s208/diag and s298/diag at seed 1, as sdd builds and
-// publishes them) by their published test-set checksum. A change that
-// moves diagnostic generation, including its random stream, fails here
-// as well as in the benchmark's pins; re-pin both together, with per-row
-// evidence.
+// TestPipelineTestSetChecksums pins the benchmark's pipeline slice
+// (s208/diag, s298/diag and s344/10det at seed 1, as sdd builds and
+// publishes them) by test count, published test-set checksum, the three
+// dictionaries' indistinguished pairs and the restart count — every
+// figure the benchmark's output check compares, with the values of
+// perfbench/pins.json. A change that moves test generation, including
+// its random stream, or the dictionary search fails here as well as in
+// the benchmark; re-pin both together, with per-row evidence.
 func TestPipelineTestSetChecksums(t *testing.T) {
 	for _, tc := range []struct {
-		circuit  string
-		tests    int
-		checksum string
+		circuit      string
+		tt           TestSetType
+		tests        int
+		checksum     string
+		full, pf, sd int64
+		restarts     int
 	}{
-		{"s208", 28, "e85ee132"},
-		{"s298", 27, "50e49bf4"},
+		{"s208", Diagnostic, 28, "e85ee132", 23, 150, 107, 163},
+		{"s298", Diagnostic, 27, "50e49bf4", 102, 320, 284, 177},
+		{"s344", TenDetect, 344, "8d848fdd", 1168, 1428, 1168, 1},
 	} {
 		cfg := Config{Seed: 1, Workers: 1}
-		pr, err := PrepareProfile(tc.circuit, Diagnostic, cfg)
+		pr, err := PrepareProfile(tc.circuit, tc.tt, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		compiled, err := BuildRow(pr, Diagnostic, cfg).Dict.Compile()
+		row := BuildRow(pr, tc.tt, cfg)
+		compiled, err := row.Dict.Compile()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := dictio.TestSetChecksum(compiled); pr.Tests.Len() != tc.tests || got != tc.checksum {
-			t.Errorf("%s/diag: %d tests, checksum %s; want %d tests, checksum %s",
-				tc.circuit, pr.Tests.Len(), got, tc.tests, tc.checksum)
+			t.Errorf("%s/%s: %d tests, checksum %s; want %d tests, checksum %s",
+				tc.circuit, tc.tt, pr.Tests.Len(), got, tc.tests, tc.checksum)
+		}
+		if row.IndFull != tc.full || row.IndPF != tc.pf || row.IndSDFinal != tc.sd || row.BuildStats.Restarts != tc.restarts {
+			t.Errorf("%s/%s: full/pf/sd %d/%d/%d over %d restarts; want %d/%d/%d over %d",
+				tc.circuit, tc.tt, row.IndFull, row.IndPF, row.IndSDFinal, row.BuildStats.Restarts,
+				tc.full, tc.pf, tc.sd, tc.restarts)
 		}
 	}
 }

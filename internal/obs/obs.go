@@ -102,6 +102,19 @@ const (
 	// ServeSlowRequests counts requests over the slow-request threshold
 	// (-slow-ms); such spans always emit, sampled or not.
 	ServeSlowRequests
+	// ATPGPodemAborts counts PODEM runs of detection test generation
+	// stopped at the backtrack limit.
+	ATPGPodemAborts
+	// ATPGSATCalls counts SAT calls of test generation: detection's
+	// fallback, redundancy screening and fault pairs.
+	ATPGSATCalls
+	// ATPGSATReused counts redundancy-screening calls answered by a proof
+	// carried from detection instead of a solver run (included in
+	// ATPGSATCalls).
+	ATPGSATReused
+	// ATPGSATConflicts sums the solver conflicts of test generation's SAT
+	// calls, carried proofs included.
+	ATPGSATConflicts
 
 	numCounters
 )
@@ -129,6 +142,10 @@ var counterNames = [numCounters]string{
 	ServeRecallMisses:    "serve_recall_misses",
 	ServeSpans:           "serve_spans",
 	ServeSlowRequests:    "serve_slow_requests",
+	ATPGPodemAborts:      "atpg_podem_aborts",
+	ATPGSATCalls:         "atpg_sat_calls",
+	ATPGSATReused:        "atpg_sat_reused",
+	ATPGSATConflicts:     "atpg_sat_conflicts",
 }
 
 // Gauge identifies one instantaneous metric.

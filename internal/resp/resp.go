@@ -283,7 +283,8 @@ func sweepEffects(ctx context.Context, pool *par.Pool, s *sim.Simulator, faults 
 // sim.DetectBitmaps: undetected faults are class 0 by construction, and
 // the detected faults are walked in index order via trailing-zero
 // iteration, so class ids match the sequential full-scan assembly bit for
-// bit.
+// bit. Each fault's vector is built in one scratch vector and copied only
+// when it opens a new class.
 func assemblePattern(m *Matrix, goodWords []logic.Word, effects []sim.Effect, detect []uint64, p int) patternRow {
 	good := logic.NewBitVec(m.M)
 	for o := 0; o < m.M; o++ {
@@ -294,11 +295,12 @@ func assemblePattern(m *Matrix, goodWords []logic.Word, effects []sim.Effect, de
 		vecs:  []logic.BitVec{good},
 	}
 	byHash := map[uint64][]int32{good.Hash(): {0}}
+	vec := logic.NewBitVec(m.M)
 	for w, dw := range detect {
 		for dw != 0 {
 			i := w<<6 + bits.TrailingZeros64(dw)
 			dw &= dw - 1
-			vec := good.Clone()
+			copy(vec, good)
 			for _, d := range effects[i].Diffs {
 				if d.Bits&(1<<uint(p)) != 0 {
 					vec.Set(int(d.Slot), 1-vec.Get(int(d.Slot)))
@@ -314,7 +316,7 @@ func assemblePattern(m *Matrix, goodWords []logic.Word, effects []sim.Effect, de
 			}
 			if cls < 0 {
 				cls = int32(len(row.vecs))
-				row.vecs = append(row.vecs, vec)
+				row.vecs = append(row.vecs, vec.Clone())
 				byHash[h] = append(byHash[h], cls)
 			}
 			row.class[i] = cls

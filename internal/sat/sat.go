@@ -83,8 +83,10 @@ type Solver struct {
 
 	activity  []float64
 	varInc    float64
-	phase     []int8 // saved phase per variable
-	unsatable bool   // an empty clause was added
+	order     []int32 // decision heap of variables; see decide
+	hpos      []int32 // per variable: index in order, or -1 when absent
+	phase     []int8  // saved phase per variable
+	unsatable bool    // an empty clause was added
 
 	propagations int64
 	conflicts    int64
@@ -103,11 +105,16 @@ func NewSolver(numVars int) *Solver {
 		seen:       make([]bool, numVars),
 		activity:   make([]float64, numVars),
 		phase:      make([]int8, numVars),
+		order:      make([]int32, numVars),
+		hpos:       make([]int32, numVars),
 		varInc:     1,
 		maxLearned: 4000,
 	}
 	for i := range s.phase {
 		s.phase[i] = lFalse
+		// All activities are 0, so ascending variable order is a heap.
+		s.order[i] = int32(i)
+		s.hpos[i] = int32(i)
 	}
 	return s
 }
@@ -125,6 +132,8 @@ func (s *Solver) AddVar() int {
 	s.activity = append(s.activity, 0)
 	s.phase = append(s.phase, lFalse)
 	s.watches = append(s.watches, nil, nil)
+	s.hpos = append(s.hpos, -1)
+	s.heapInsert(v)
 	return v
 }
 
@@ -284,6 +293,13 @@ func (s *Solver) bumpVar(v int) {
 			s.activity[i] *= 1e-100
 		}
 		s.varInc *= 1e-100
+		// Scaling is monotone but rounding can turn an order into a tie,
+		// which the variable-index tie rule may then order the other way.
+		s.heapify()
+		return
+	}
+	if s.hpos[v] >= 0 {
+		s.siftUp(int(s.hpos[v]))
 	}
 }
 
@@ -365,26 +381,103 @@ func (s *Solver) cancelUntil(level int) {
 		s.vals[l] = lUndef
 		s.vals[l.Not()] = lUndef
 		s.reason[v] = nil
+		if s.hpos[v] < 0 {
+			s.heapInsert(v)
+		}
 	}
 	s.trail = s.trail[:bound]
 	s.qhead = min(s.qhead, bound)
 	s.lim = s.lim[:level]
 }
 
-// decide picks the unassigned variable with the highest activity.
+// decide picks the unassigned variable with the highest activity, the
+// lowest index among equals. The order heap holds every unassigned
+// variable (cancelUntil re-inserts what it unassigns) and possibly some
+// assigned ones, which are popped here on reaching the top; so the first
+// unassigned top is the choice a scan of every variable would make.
 func (s *Solver) decide() (Lit, bool) {
-	best := -1
-	var bestAct float64 = -1
-	vals := s.vals
-	for v, act := range s.activity {
-		if act > bestAct && vals[v<<1] == lUndef {
-			best, bestAct = v, act
+	for len(s.order) > 0 {
+		v := int(s.order[0])
+		if s.vals[v<<1] == lUndef {
+			return MkLit(v, s.phase[v] != lTrue), true
 		}
+		s.heapPop()
 	}
-	if best < 0 {
-		return 0, false
+	return 0, false
+}
+
+// before is the order heap's strict total order: higher activity first,
+// then lower variable index.
+func (s *Solver) before(a, b int32) bool {
+	if aa, ab := s.activity[a], s.activity[b]; aa != ab {
+		return aa > ab
 	}
-	return MkLit(best, s.phase[best] != lTrue), true
+	return a < b
+}
+
+func (s *Solver) heapInsert(v int) {
+	s.hpos[v] = int32(len(s.order))
+	s.order = append(s.order, int32(v))
+	s.siftUp(len(s.order) - 1)
+}
+
+// heapPop removes the top of the order heap.
+func (s *Solver) heapPop() {
+	top := s.order[0]
+	last := len(s.order) - 1
+	s.order[0] = s.order[last]
+	s.hpos[s.order[0]] = 0
+	s.order = s.order[:last]
+	s.hpos[top] = -1
+	if last > 0 {
+		s.siftDown(0)
+	}
+}
+
+func (s *Solver) siftUp(i int) {
+	v := s.order[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		p := s.order[parent]
+		if !s.before(v, p) {
+			break
+		}
+		s.order[i] = p
+		s.hpos[p] = int32(i)
+		i = parent
+	}
+	s.order[i] = v
+	s.hpos[v] = int32(i)
+}
+
+func (s *Solver) siftDown(i int) {
+	v := s.order[i]
+	n := len(s.order)
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && s.before(s.order[r], s.order[child]) {
+			child = r
+		}
+		c := s.order[child]
+		if !s.before(c, v) {
+			break
+		}
+		s.order[i] = c
+		s.hpos[c] = int32(i)
+		i = child
+	}
+	s.order[i] = v
+	s.hpos[v] = int32(i)
+}
+
+// heapify restores the heap order over the current members.
+func (s *Solver) heapify() {
+	for i := len(s.order)/2 - 1; i >= 0; i-- {
+		s.siftDown(i)
+	}
 }
 
 // Solve runs the CDCL loop with the given conflict budget (0 = default of

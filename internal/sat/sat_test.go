@@ -266,3 +266,78 @@ func TestAddVar(t *testing.T) {
 		t.Fatal("fresh variable unusable")
 	}
 }
+
+// scanDecide is the linear-scan decision rule the order heap replaces:
+// the unassigned variable of highest activity, lowest index among equals.
+func scanDecide(s *Solver) (Lit, bool) {
+	best := -1
+	var bestAct float64 = -1
+	for v, act := range s.activity {
+		if act > bestAct && s.varValue(v) == lUndef {
+			best, bestAct = v, act
+		}
+	}
+	if best < 0 {
+		return 0, false
+	}
+	return MkLit(best, s.phase[best] != lTrue), true
+}
+
+// TestDecideMatchesScan drives the solver's activity and trail machinery
+// through random bump, assign, cancel and rescale sequences and requires
+// every decide to pick exactly what scanDecide picks. Bumps reuse a few
+// increments so activities tie, and some set varInc near 1e100 so the
+// next bump forces the rescale.
+func TestDecideMatchesScan(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	checks, rescales := 0, 0
+	for trial := 0; trial < 400; trial++ {
+		s := NewSolver(r.Intn(30))
+		for k := r.Intn(5); k > 0; k-- {
+			s.AddVar()
+		}
+		n := s.NumVars()
+		if n == 0 {
+			continue
+		}
+		for step := 0; step < 300; step++ {
+			switch op := r.Intn(10); {
+			case op < 4: // bump
+				switch r.Intn(8) {
+				case 0:
+					s.varInc = 1e99 * (1 + 9*r.Float64())
+				case 1:
+					s.varInc /= 0.95
+				}
+				before := s.varInc
+				s.bumpVar(r.Intn(n))
+				if s.varInc != before {
+					rescales++
+				}
+			case op < 7: // assign at a new decision level
+				v := r.Intn(n)
+				if s.varValue(v) == lUndef {
+					s.lim = append(s.lim, len(s.trail))
+					s.enqueue(MkLit(v, r.Intn(2) == 0), nil)
+				}
+			case op < 8: // backtrack
+				s.cancelUntil(r.Intn(len(s.lim) + 1))
+			default: // decide, as Solve does
+				want, wok := scanDecide(s)
+				got, gok := s.decide()
+				if got != want || gok != wok {
+					t.Fatalf("trial %d step %d: decide = %v,%v, scan = %v,%v", trial, step, got, gok, want, wok)
+				}
+				checks++
+				if gok {
+					s.lim = append(s.lim, len(s.trail))
+					s.enqueue(got, nil)
+				}
+			}
+		}
+	}
+	if checks == 0 || rescales == 0 {
+		t.Fatalf("%d checks, %d rescales: the test exercised nothing", checks, rescales)
+	}
+	t.Logf("%d decisions checked, %d rescales", checks, rescales)
+}
