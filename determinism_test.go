@@ -184,7 +184,7 @@ func TestResponseMatrixWorkersIdentical(t *testing.T) {
 // TestPrepareWorkersIdentical: test generation captures responses at
 // the row's worker count, and must produce the same test set and the
 // same ATPG counters at every one. s298/diag runs diagnostic generation
-// with redundancy screening that reuses detection's SAT proofs.
+// with redundancy screening that reuses detection's SAT and PODEM proofs.
 func TestPrepareWorkersIdentical(t *testing.T) {
 	var refKeys []string
 	var refCounters map[string]int64
@@ -201,7 +201,7 @@ func TestPrepareWorkersIdentical(t *testing.T) {
 		counters := ob.M().Snapshot().Counters
 		if refKeys == nil {
 			refKeys, refCounters = keys, counters
-			if counters["atpg_sat_calls"] == 0 || counters["atpg_sat_reused"] == 0 {
+			if counters["atpg_sat_calls"] == 0 || counters["atpg_sat_reused"] == 0 || counters["atpg_podem_proofs"] == 0 {
 				t.Fatalf("workers=%d: atpg counters %v record no SAT work", workers, counters)
 			}
 			continue
@@ -209,7 +209,7 @@ func TestPrepareWorkersIdentical(t *testing.T) {
 		if !reflect.DeepEqual(keys, refKeys) {
 			t.Fatalf("workers=%d: test set differs from workers=1", workers)
 		}
-		for _, name := range []string{"atpg_podem_aborts", "atpg_sat_calls", "atpg_sat_reused", "atpg_sat_conflicts"} {
+		for _, name := range []string{"atpg_podem_aborts", "atpg_sat_calls", "atpg_sat_reused", "atpg_sat_conflicts", "atpg_podem_proofs"} {
 			if counters[name] != refCounters[name] {
 				t.Fatalf("workers=%d: %s = %d, workers=1 recorded %d", workers, name, counters[name], refCounters[name])
 			}

@@ -66,9 +66,12 @@ type DiagStats struct {
 	MiterCalls  int // pair attempts, each one SAT call unless SAT is closed
 	SATCalls    int // SAT calls, redundancy screening and pairs together
 	// SATReused counts the screening calls answered by a carried
-	// detection proof instead of a solver run; they are included in
-	// SATCalls, and their conflicts in SATConflicts.
+	// detection verdict instead of a solver run; they are included in
+	// SATCalls, and the conflicts of the SAT verdicts in SATConflicts.
 	SATReused int
+	// PodemProofs counts the carried verdicts that were PODEM's proofs,
+	// a subset of SATReused.
+	PodemProofs int
 	// SATConflicts sums the solver conflicts of every SAT call, a
 	// deterministic measure of the SAT work.
 	SATConflicts int64
@@ -90,7 +93,7 @@ type DiagStats struct {
 // are targeted one at a time with SAT on the pair's miter (a test driving
 // the two-faulty-copy miter output to 1 distinguishes the pair), until
 // every remaining pair is proven equivalent or exceeds the effort budget.
-// It carries no detection proofs (see GenerateDiagnosticCtx).
+// It carries no detection verdicts (see GenerateDiagnosticCtx).
 func GenerateDiagnostic(c *netlist.Circuit, faults []fault.Fault, base *pattern.Set, cfg DiagConfig) (*pattern.Set, DiagStats) {
 	return GenerateDiagnosticCtx(context.Background(), c, faults, base, nil, cfg)
 }
@@ -100,19 +103,33 @@ func GenerateDiagnostic(c *netlist.Circuit, faults []fault.Fault, base *pattern.
 // distinguishing tests added so far are kept and the base detection set is
 // never lost; DiagStats.Interrupted is set.
 //
-// proofs, when non-nil, is GenStats.SATProofs from the detection run that
-// produced base on the same circuit and fault list. Redundancy screening
-// takes a carried proof of k conflicts instead of calling SAT whenever
-// k ≤ cfg.SATConflictBudget: the screening call would build the same
-// miter and run the same deterministic search, which the budget only
-// stops, so it would reach the same UNSAT after the same k conflicts.
-// The test set and every stat except SATReused are as without proofs.
-func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, base *pattern.Set, proofs []int64, cfg DiagConfig) (*pattern.Set, DiagStats) {
+// verdicts, when non-nil, is GenStats.Verdicts from the detection run
+// that produced base on the same circuit and fault list. Redundancy
+// screening takes a carried verdict instead of calling SAT, and counts it
+// as a SAT call (SATCalls, SATReused), so the call cap and the budget-out
+// stop close SAT at the same points as without verdicts. A screening call
+// would build the same miter as detection's SAT fallback and run the same
+// deterministic search, which the budget B = cfg.SATConflictBudget only
+// stops, so detection's answer after c conflicts gives the call's:
+//   - SATUntestable with c ≤ B: the same UNSAT after c conflicts;
+//   - SATUnknown with B < c: the search passed conflict B+1 unanswered,
+//     so the call runs out of budget there, after B+1 conflicts.
+//
+// The test set and every stat except SATReused are then as without the
+// verdict. A PodemUntestable verdict is taken always (PodemProofs counts
+// these) and adds no conflicts. The fault is redundant, so a screening
+// call could only prove it so or run out of budget; the test set differs
+// from the one without the verdict only where it would have run out.
+//
+// The closing random phase is skipped when every pair still sharing a
+// response group is proven equivalent: such faults respond identically
+// to every pattern, so no random test could split them.
+func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, base *pattern.Set, verdicts []Verdict, cfg DiagConfig) (*pattern.Set, DiagStats) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if proofs != nil && len(proofs) != len(faults) {
-		panic(fmt.Sprintf("atpg: %d carried proofs for %d faults", len(proofs), len(faults)))
+	if verdicts != nil && len(verdicts) != len(faults) {
+		panic(fmt.Sprintf("atpg: %d carried verdicts for %d faults", len(verdicts), len(faults)))
 	}
 	r := rand.New(rand.NewSource(cfg.Seed))
 	view := netlist.NewScanView(c)
@@ -188,6 +205,8 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 	}
 
 	type pairKey struct{ a, b int32 }
+	// unresolvable holds the pairs no longer attempted: true for a pair
+	// proven equivalent, false for one abandoned.
 	unresolvable := make(map[pairKey]bool)
 	seen := make(map[string]bool, tests.Len())
 	for _, v := range tests.Vecs {
@@ -291,13 +310,25 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 			if !satOpen() {
 				break
 			}
-			if proofs != nil && proofs[i] >= 0 && proofs[i] <= cfg.SATConflictBudget {
-				stats.SATCalls++
-				stats.SATReused++
-				stats.SATConflicts += proofs[i]
-				redundant[i] = true
-				satUseless = 0
-				continue
+			if verdicts != nil {
+				switch v := verdicts[i]; {
+				case v.Kind == PodemUntestable, v.Kind == SATUntestable && v.Conflicts <= cfg.SATConflictBudget:
+					stats.SATCalls++
+					stats.SATReused++
+					if v.Kind == PodemUntestable {
+						stats.PodemProofs++
+					}
+					stats.SATConflicts += v.Conflicts
+					redundant[i] = true
+					satUseless = 0
+					continue
+				case v.Kind == SATUnknown && cfg.SATConflictBudget < v.Conflicts:
+					stats.SATCalls++
+					stats.SATReused++
+					stats.SATConflicts += cfg.SATConflictBudget + 1
+					satUseless++
+					continue
+				}
 			}
 			miter, err := BuildDetectionMiter(c, faults[i])
 			if err != nil {
@@ -351,7 +382,7 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 			for ai := 0; ai < len(members) && attempts < cfg.PairAttemptsPerGroup; ai++ {
 				for bi := ai + 1; bi < len(members) && attempts < cfg.PairAttemptsPerGroup; bi++ {
 					a, b := members[ai], members[bi]
-					if unresolvable[mkKey(a, b)] {
+					if _, done := unresolvable[mkKey(a, b)]; done {
 						continue
 					}
 					if redundant[a] && redundant[b] {
@@ -400,7 +431,7 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 						unresolvable[mkKey(a, b)] = true
 						stats.Equivalent++
 					default: // Aborted
-						unresolvable[mkKey(a, b)] = true
+						unresolvable[mkKey(a, b)] = false
 						stats.Aborted++
 					}
 				}
@@ -419,7 +450,23 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 		refineWith(added)
 		stats.AddedTests += added.Len()
 	}
-	randomPhase(4 * cfg.UselessBatchLimit)
+	// allProven reports whether every pair still sharing a group is
+	// proven equivalent, leaving the closing random phase nothing to split.
+	allProven := func() bool {
+		for _, members := range groupMembers(p) {
+			for ai, a := range members {
+				for _, b := range members[ai+1:] {
+					if !unresolvable[mkKey(a, b)] {
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if !allProven() {
+		randomPhase(4 * cfg.UselessBatchLimit)
+	}
 	stats.IndistPairs = p.Pairs()
 	return tests, stats
 }

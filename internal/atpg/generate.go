@@ -69,15 +69,39 @@ type GenStats struct {
 	// SATConflicts sums the solver conflicts of every SAT fallback call, a
 	// deterministic measure of the SAT work.
 	SATConflicts int64
-	// SATProofs holds, per fault, the conflict count of the SAT fallback
-	// call that proved the fault redundant, or -1 where none did. Passed
-	// to GenerateDiagnosticCtx, these proofs spare its redundancy
-	// screening the same calls.
-	SATProofs []int64
+	// Verdicts holds, per fault, how detection settled it when no test
+	// did. Passed to GenerateDiagnosticCtx, they spare its redundancy
+	// screening the same work.
+	Verdicts []Verdict
 	// Interrupted is set when generation stopped early on context
 	// cancellation or deadline; the returned test set is valid but may
 	// leave faults short of their detection targets.
 	Interrupted bool
+}
+
+// VerdictKind names how detection settled a fault no test detects.
+type VerdictKind uint8
+
+// Detection verdicts.
+const (
+	// NoVerdict: a test detects the fault, or no search settled it.
+	NoVerdict VerdictKind = iota
+	// PodemUntestable: PODEM exhausted the fault's decision space, which
+	// proves the fault redundant.
+	PodemUntestable
+	// SATUntestable: the SAT fallback found the detection miter
+	// unsatisfiable, which proves the fault redundant.
+	SATUntestable
+	// SATUnknown: the SAT fallback ran out of its conflict budget.
+	SATUnknown
+)
+
+// Verdict is detection's verdict on one fault.
+type Verdict struct {
+	Kind VerdictKind
+	// Conflicts is the SAT fallback's conflict count at its answer (SAT
+	// kinds only).
+	Conflicts int64
 }
 
 // Coverage returns the single-detection fault coverage over the targeted
@@ -114,10 +138,7 @@ func GenerateDetectionCtx(ctx context.Context, c *netlist.Circuit, faults []faul
 	s := sim.New(view)
 	width := view.NumInputs()
 	tests := pattern.NewSet(width)
-	stats := GenStats{Faults: len(faults), SATProofs: make([]int64, len(faults))}
-	for i := range stats.SATProofs {
-		stats.SATProofs[i] = -1
-	}
+	stats := GenStats{Faults: len(faults), Verdicts: make([]Verdict, len(faults))}
 
 	counts := make([]int, len(faults))
 	dead := make([]bool, len(faults)) // untestable or given up
@@ -215,8 +236,17 @@ func GenerateDetectionCtx(ctx context.Context, c *netlist.Circuit, faults []faul
 				continue
 			}
 			cube, status := eng.Generate(faults[fi])
+			if ctx.Err() != nil {
+				// Generate gave up on the interrupt, not at the backtrack
+				// limit: the run is neither an abort nor a reason for SAT.
+				stats.Interrupted = true
+				break
+			}
 			if status == Aborted {
 				stats.PodemAborts++
+			}
+			if status == Untestable {
+				stats.Verdicts[fi] = Verdict{Kind: PodemUntestable}
 			}
 			if status == Aborted && abortTries[fi] >= 1 && cfg.SATConflictBudget > 0 {
 				// Second structural abort: escalate to the complete SAT
@@ -230,8 +260,11 @@ func GenerateDetectionCtx(ctx context.Context, c *netlist.Circuit, faults []faul
 						if mismatch {
 							stats.ModelMismatches++
 						}
-						if sstatus == Untestable {
-							stats.SATProofs[fi] = conflicts
+						switch {
+						case sstatus == Untestable:
+							stats.Verdicts[fi] = Verdict{Kind: SATUntestable, Conflicts: conflicts}
+						case sstatus == Aborted && !mismatch:
+							stats.Verdicts[fi] = Verdict{Kind: SATUnknown, Conflicts: conflicts}
 						}
 					}
 				}

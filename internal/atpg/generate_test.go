@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -176,4 +177,62 @@ func pairsHelper(c *netlist.Circuit, faults []fault.Fault, tests *pattern.Set) (
 		p.RefineByClass(m.Class[j])
 	}
 	return p.Pairs(), len(p.GroupSizes())
+}
+
+// pollCounter is a context that counts its Err polls and reports
+// context.Canceled from poll cancelAt on (never, when cancelAt is 0).
+type pollCounter struct {
+	context.Context
+	polls, cancelAt int
+}
+
+func (c *pollCounter) Err() error {
+	c.polls++
+	if c.cancelAt > 0 && c.polls >= c.cancelAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestInterruptedPodemIsNoAbort: a PODEM run cut short by cancellation
+// is not a backtrack-limit abort. Detection targets one s344 fault that
+// only SAT proves redundant, so PODEM aborts on it twice and the second
+// abort escalates to SAT. Cancelling anywhere in the second run must
+// stop generation there: no SAT call, the run not counted in
+// PodemAborts, and the fault neither Aborted nor Untestable.
+func TestInterruptedPodemIsNoAbort(t *testing.T) {
+	comb := netlist.Combinationalize(gen.Profiles["s344"].MustGenerate(2))
+	faults := fault.Collapse(comb).Faults
+	probe := DefaultConfig(10)
+	probe.Seed = 3
+	_, pst := GenerateDetection(comb, faults, probe)
+	target := -1
+	for i, p := range pst.Verdicts {
+		if p.Kind == SATUntestable {
+			target = i
+			break
+		}
+	}
+	if target < 0 {
+		t.Fatal("s344 has no SAT-proven fault")
+	}
+	one := []fault.Fault{faults[target]}
+	cfg := DefaultConfig(1)
+	cfg.Seed = 3
+
+	ref := &pollCounter{Context: context.Background()}
+	_, st := GenerateDetectionCtx(ref, comb, one, cfg)
+	if st.PodemAborts != 2 || st.SATCalls != 1 || st.Untestable != 1 {
+		t.Fatalf("uninterrupted run: %+v, want two PODEM aborts settled by one SAT call", st)
+	}
+	// The last poll follows the second PODEM run, and the BacktrackLimit
+	// flips before it each precede one of that run's polls.
+	for back := 1; back <= cfg.BacktrackLimit; back += 10 {
+		ctx := &pollCounter{Context: context.Background(), cancelAt: ref.polls - back}
+		_, st := GenerateDetectionCtx(ctx, comb, one, cfg)
+		if !st.Interrupted || st.PodemAborts != 1 || st.SATCalls != 0 || st.Aborted != 0 || st.Untestable != 0 {
+			t.Fatalf("cancelled at poll %d of %d: %+v, want interrupted after one PODEM abort and no SAT call",
+				ctx.cancelAt, ref.polls, st)
+		}
+	}
 }

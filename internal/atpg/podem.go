@@ -96,12 +96,24 @@ type Engine struct {
 	frontier []int32
 	xins     []int32
 	xstack   []int32
+	// trail logs every value settle changes since start, oldest first, so
+	// a backtrack can undo its decisions' implications (see restore).
+	trail []undo
 }
 
-// decision is one PI assignment on the PODEM search stack.
+// decision is one PI assignment on the PODEM search stack. mark is the
+// trail length from before the input was set: restoring the trail to it
+// undoes this decision and every later one.
 type decision struct {
 	gate    int32
+	mark    int32
 	flipped bool
+}
+
+// undo is one trail entry: gate g held value old before settle changed it.
+type undo struct {
+	g   int32
+	old logic.V5
 }
 
 // NewEngine returns an engine for the combinational circuit c. The circuit
@@ -208,14 +220,16 @@ func (e *Engine) Generate(f fault.Fault) (pattern.Vector, Status) {
 			// Backtrace can dead-end on an already-assigned input or a
 			// constant; treat that like an infeasible state.
 			if e.typ[pi] == netlist.Input && !e.piVal[pi].Known() {
+				e.stack = append(e.stack, decision{gate: pi, mark: int32(len(e.trail))})
 				e.setPI(pi, v)
 				e.settle()
-				e.stack = append(e.stack, decision{gate: pi})
 				continue
 			}
 		}
 		// Dead end: flip the most recent unflipped decision; fully tried
-		// decisions unwind.
+		// decisions unwind. An unwound decision only clears its input: the
+		// restore before the next flip undoes its implications with those
+		// of every decision above the flipped one.
 		for {
 			if len(e.stack) == 0 {
 				return nil, Untestable
@@ -227,22 +241,24 @@ func (e *Engine) Generate(f fault.Fault) (pattern.Vector, Status) {
 					return nil, Aborted
 				}
 				top.flipped = true
+				e.restore(top.mark)
 				e.setPI(top.gate, e.piVal[top.gate].Not())
+				e.settle()
 				break
 			}
-			e.setPI(top.gate, logic.X)
+			e.piVal[top.gate] = logic.X
 			e.stack = e.stack[:len(e.stack)-1]
 		}
-		e.settle()
 	}
 }
 
 // start targets fault f with every input X. The fault-free all-X state is
 // copied in and only the fault site is re-evaluated: every other
 // difference from it lies in the site's fanout cone, which settle reaches.
-// Events left pending by an early return from the previous Generate are
-// settled against this fresh state, which re-evaluates them harmlessly.
-// start also records the site's fanout cone for dFrontier.
+// An event still pending is settled against this fresh state, which
+// re-evaluates it harmlessly. start then empties the trail, so the search
+// undoes nothing below its first decision, and records the site's fanout
+// cone for dFrontier.
 func (e *Engine) start(f fault.Fault) {
 	e.target = f
 	for i := range e.piVal {
@@ -251,6 +267,7 @@ func (e *Engine) start(f fault.Fault) {
 	copy(e.val, e.freeVal)
 	e.schedule(f.Gate)
 	e.settle()
+	e.trail = e.trail[:0]
 
 	e.visitID++
 	e.cone = append(e.cone[:0], f.Gate)
@@ -284,15 +301,17 @@ func (e *Engine) schedule(g int32) {
 }
 
 // settle re-evaluates the scheduled gates level by level, scheduling the
-// fanout of every gate whose value changes. A gate's fanins all sit at
-// lower levels, so each gate is evaluated at most once, after its inputs
-// are final. Five-valued values are a pure function of the input
-// assignment, so the result equals a full imply.
+// fanout of every gate whose value changes and logging its old value on
+// the trail. A gate's fanins all sit at lower levels, so each gate is
+// evaluated at most once, after its inputs are final. Five-valued values
+// are a pure function of the input assignment, so the result equals a
+// full imply.
 func (e *Engine) settle() {
 	for l := e.lo; l <= e.hi; l++ {
 		for _, g := range e.bucket[l] {
 			e.queued[g] = false
 			if v := e.evalGate(g); v != e.val[g] {
+				e.trail = append(e.trail, undo{g, e.val[g]})
 				e.val[g] = v
 				for _, s := range e.fanoutOf(g) {
 					e.schedule(s)
@@ -302,6 +321,19 @@ func (e *Engine) settle() {
 		e.bucket[l] = e.bucket[l][:0]
 	}
 	e.lo, e.hi = int32(len(e.bucket)), -1
+}
+
+// restore undoes the trail down to mark, newest entry first, so a gate
+// changed by several settles gets back its oldest logged value. When the
+// mark was taken, every value was the settled one of the input assignment
+// then in force, and values are a pure function of that assignment, so
+// the restored state is exactly what settling that assignment gives.
+func (e *Engine) restore(mark int32) {
+	for i := len(e.trail) - 1; i >= int(mark); i-- {
+		u := e.trail[i]
+		e.val[u.g] = u.old
+	}
+	e.trail = e.trail[:mark]
 }
 
 // imply recomputes the five-valued value of every gate from the current PI

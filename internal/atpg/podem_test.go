@@ -321,6 +321,89 @@ func TestConeFrontierMatchesScan(t *testing.T) {
 	}
 }
 
+// TestTrailMatchesImply runs PODEM over every collapsed fault of s208,
+// s298 and s344 at the detection backtrack limit, deterministic and
+// randomized, and checks the undo trail at every step of every search:
+//   - every gate value equals a fresh imply of the input assignment;
+//   - the trail is one segment per decision, from its mark to the next
+//     decision's, and the first mark is 0: start left nothing on it;
+//   - each segment is the one settle of its decision's latest value, so
+//     it begins with that input and names no gate twice;
+//   - undoing the segments from the top gives, at each mark, the fresh
+//     imply of the decisions below it.
+func TestTrailMatchesImply(t *testing.T) {
+	for _, name := range []string{"s208", "s298", "s344"} {
+		for _, randomized := range []bool{false, true} {
+			c := netlist.Combinationalize(gen.Profiles[name].MustGenerate(2))
+			e := NewEngine(c)
+			e.BacktrackLimit = DefaultConfig(1).BacktrackLimit
+			if randomized {
+				e.Randomize(rand.New(rand.NewSource(1)))
+			}
+			var f fault.Fault
+			steps, undone := 0, 0
+			seen := make(map[int32]bool)
+			e.SetContext(frontierProbe{context.Background(), func() {
+				fail := func(format string, args ...any) {
+					t.Helper()
+					t.Fatalf("%s randomized=%v, fault %s, step %d: %s", name, randomized, f.Name(c), steps, fmt.Sprintf(format, args...))
+				}
+				steps++
+				cur := slices.Clone(e.val)
+				pis := slices.Clone(e.piVal)
+				defer func() {
+					copy(e.val, cur)
+					copy(e.piVal, pis)
+				}()
+				e.imply()
+				if !slices.Equal(cur, e.val) {
+					fail("settled values differ from a full imply")
+				}
+				if len(e.stack) == 0 {
+					if len(e.trail) != 0 {
+						fail("%d trail entries before the first decision", len(e.trail))
+					}
+					return
+				}
+				if e.stack[0].mark != 0 {
+					fail("first decision's mark is %d", e.stack[0].mark)
+				}
+				vals := slices.Clone(cur)
+				end := len(e.trail)
+				for d := len(e.stack) - 1; d >= 0; d-- {
+					dec := e.stack[d]
+					seg := e.trail[dec.mark:end]
+					if len(seg) == 0 || seg[0].g != dec.gate {
+						fail("decision %d (input %s) has trail segment %v", d, c.Gates[dec.gate].Name, seg)
+					}
+					clear(seen)
+					for i := len(seg) - 1; i >= 0; i-- {
+						if seen[seg[i].g] {
+							fail("decision %d's trail segment changes %s twice", d, c.Gates[seg[i].g].Name)
+						}
+						seen[seg[i].g] = true
+						vals[seg[i].g] = seg[i].old
+					}
+					end = int(dec.mark)
+					e.piVal[dec.gate] = logic.X
+					e.imply()
+					if !slices.Equal(vals, e.val) {
+						fail("undoing the trail to decision %d's mark differs from a full imply", d)
+					}
+					undone++
+				}
+			}})
+			for _, f = range fault.Collapse(c).Faults {
+				e.Generate(f)
+			}
+			if undone == 0 {
+				t.Fatalf("%s randomized=%v: no step had a decision; the test exercised nothing", name, randomized)
+			}
+			t.Logf("%s randomized=%v: %d steps checked, %d trail segments undone", name, randomized, steps, undone)
+		}
+	}
+}
+
 // TestGenerateAllocs: once an engine has run over a circuit's faults,
 // Generate allocates nothing but the cube it returns.
 func TestGenerateAllocs(t *testing.T) {

@@ -298,7 +298,7 @@ func PrepareCtx(ctx context.Context, c *netlist.Circuit, tt TestSetType, cfg Con
 		if cfg.DiagCfg != nil {
 			gcfg = *cfg.DiagCfg
 		}
-		set, dst := atpg.GenerateDiagnosticCtx(ctx, comb, col.Faults, base, st.SATProofs, gcfg)
+		set, dst := atpg.GenerateDiagnosticCtx(ctx, comb, col.Faults, base, st.Verdicts, gcfg)
 		tests = set
 		recordATPG(cfg.Obs, st, dst)
 		info = fmt.Sprintf("diag: %d detection + %d random + %d miter tests, %d equivalent pairs, %d aborted, coverage %.1f%%",
@@ -323,15 +323,16 @@ func PrepareCtx(ctx context.Context, c *netlist.Circuit, tt TestSetType, cfg Con
 }
 
 // recordATPG adds a row's test-generation counters to ob: PODEM aborts,
-// and SAT calls, carried proofs and conflicts over detection and
-// diagnostic generation together. Each is a deterministic outcome count,
-// so the counters are identical at every worker count.
+// and SAT calls, carried verdicts (PODEM's among them) and conflicts over
+// detection and diagnostic generation together. Each is a deterministic
+// outcome count, so the counters are identical at every worker count.
 func recordATPG(ob *obs.Observer, st atpg.GenStats, dst atpg.DiagStats) {
 	m := ob.M()
 	m.Add(obs.ATPGPodemAborts, int64(st.PodemAborts))
 	m.Add(obs.ATPGSATCalls, int64(st.SATCalls+dst.SATCalls))
 	m.Add(obs.ATPGSATReused, int64(dst.SATReused))
 	m.Add(obs.ATPGSATConflicts, st.SATConflicts+dst.SATConflicts)
+	m.Add(obs.ATPGPodemProofs, int64(dst.PodemProofs))
 }
 
 // BuildRow runs the back half of the pipeline (dictionary construction) on

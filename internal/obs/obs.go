@@ -108,13 +108,16 @@ const (
 	// ATPGSATCalls counts SAT calls of test generation: detection's
 	// fallback, redundancy screening and fault pairs.
 	ATPGSATCalls
-	// ATPGSATReused counts redundancy-screening calls answered by a proof
-	// carried from detection instead of a solver run (included in
+	// ATPGSATReused counts redundancy-screening calls answered by a
+	// verdict carried from detection instead of a solver run (included in
 	// ATPGSATCalls).
 	ATPGSATReused
 	// ATPGSATConflicts sums the solver conflicts of test generation's SAT
-	// calls, carried proofs included.
+	// calls, carried verdicts included.
 	ATPGSATConflicts
+	// ATPGPodemProofs counts the carried verdicts of ATPGSATReused that
+	// were PODEM's redundancy proofs (the rest are the SAT fallback's).
+	ATPGPodemProofs
 
 	numCounters
 )
@@ -146,6 +149,7 @@ var counterNames = [numCounters]string{
 	ATPGSATCalls:         "atpg_sat_calls",
 	ATPGSATReused:        "atpg_sat_reused",
 	ATPGSATConflicts:     "atpg_sat_conflicts",
+	ATPGPodemProofs:      "atpg_podem_proofs",
 }
 
 // Gauge identifies one instantaneous metric.
