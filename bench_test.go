@@ -33,7 +33,7 @@ import (
 // prepCache shares the expensive front half of the pipeline (circuit
 // synthesis, ATPG, fault simulation) across benchmarks. The mutex stays
 // held across the fill so concurrent callers missing on the same key
-// block behind one PrepareProfile instead of each running their own
+// block behind one PrepareProfileCtx instead of each running their own
 // (the earlier sync.Map version let two misses prepare the same profile
 // twice, wasting minutes on the big circuits).
 var (
@@ -49,7 +49,7 @@ func prepared(b *testing.B, circuit string, tt experiment.TestSetType) *experime
 	if pr, ok := prepCache[key]; ok {
 		return pr
 	}
-	pr, err := experiment.PrepareProfile(circuit, tt, experiment.Config{Seed: 1})
+	pr, err := experiment.PrepareProfileCtx(context.Background(), circuit, tt, experiment.Config{Seed: 1})
 	if err != nil {
 		b.Fatalf("prepare %s: %v", key, err)
 	}
@@ -81,7 +81,10 @@ func BenchmarkTable6(b *testing.B) {
 				var row experiment.Row
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					row = experiment.BuildRow(pr, tt, experiment.Config{Seed: 1})
+					var err error
+					if row, err = experiment.BuildRowCtx(context.Background(), pr, tt, experiment.Config{Seed: 1}); err != nil {
+						b.Fatal(err)
+					}
 				}
 				b.ReportMetric(float64(row.Tests), "tests")
 				b.ReportMetric(float64(row.IndFull), "ind_full")
@@ -129,7 +132,7 @@ func BenchmarkAblationSeeding(b *testing.B) {
 			var st core.BuildStats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, st = core.BuildSameDiff(pr.Matrix, opts)
+				_, st = mustBuildSameDiff(b, pr.Matrix, opts)
 			}
 			b.ReportMetric(float64(st.IndistFinal), "ind_sd")
 			b.ReportMetric(float64(st.Restarts), "restarts")
@@ -157,7 +160,7 @@ func BenchmarkAblationLower(b *testing.B) {
 			var st core.BuildStats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, st = core.BuildSameDiff(pr.Matrix, opts)
+				_, st = mustBuildSameDiff(b, pr.Matrix, opts)
 			}
 			b.ReportMetric(float64(st.IndistProc1), "ind_sd_rand")
 			b.ReportMetric(float64(st.CandidateEvals)/float64(st.Restarts), "cand_evals_per_restart")
@@ -175,7 +178,7 @@ func BenchmarkExtensionMultiBaseline(b *testing.B) {
 		var d *core.Dictionary
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			d, _ = core.BuildSameDiff(pr.Matrix, opts)
+			d, _ = mustBuildSameDiff(b, pr.Matrix, opts)
 		}
 		b.ReportMetric(float64(d.Indistinguished()), "ind_sd")
 		b.ReportMetric(float64(d.NominalSizeBits()), "size_bits")
@@ -186,7 +189,7 @@ func BenchmarkExtensionMultiBaseline(b *testing.B) {
 		var d *core.Dictionary
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			d, _ = core.BuildSameDiffMulti(pr.Matrix, opts)
+			d, _ = mustBuildSameDiffMulti(b, pr.Matrix, opts)
 		}
 		b.ReportMetric(float64(d.Indistinguished()), "ind_sd")
 		b.ReportMetric(float64(d.NominalSizeBits()), "size_bits")
@@ -211,7 +214,7 @@ func BenchmarkExtensionStorageMin(b *testing.B) {
 			var st core.BuildStats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				d, st = core.BuildSameDiff(pr.Matrix, opts)
+				d, st = mustBuildSameDiff(b, pr.Matrix, opts)
 			}
 			b.ReportMetric(float64(st.StoredBaselines), "stored_baselines")
 			b.ReportMetric(float64(d.SizeBits()), "size_bits")
@@ -226,7 +229,7 @@ func BenchmarkDiagnosisResolution(b *testing.B) {
 	pr := prepared(b, "s344", experiment.TenDetect)
 	opts := core.DefaultOptions
 	opts.Seed = 1
-	sd, _ := core.BuildSameDiff(pr.Matrix, opts)
+	sd, _ := mustBuildSameDiff(b, pr.Matrix, opts)
 	dicts := []struct {
 		name string
 		d    *core.Dictionary
@@ -259,7 +262,7 @@ func BenchmarkFaultSim(b *testing.B) {
 			view := netlist.NewScanView(pr.Circuit)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				resp.Build(view, pr.Faults, pr.Tests)
+				mustBuildMatrix(b, view, pr.Faults, pr.Tests)
 			}
 			b.ReportMetric(float64(pr.Matrix.N)*float64(pr.Matrix.K)/float64(1e6), "Mfault_tests")
 		})
@@ -275,7 +278,7 @@ func BenchmarkTwoPhaseDiagnosis(b *testing.B) {
 	pr := prepared(b, "s298", experiment.TenDetect)
 	opts := core.DefaultOptions
 	opts.Seed = 1
-	sd, _ := core.BuildSameDiff(pr.Matrix, opts)
+	sd, _ := mustBuildSameDiff(b, pr.Matrix, opts)
 	for _, e := range []struct {
 		name string
 		d    *core.Dictionary
@@ -284,7 +287,11 @@ func BenchmarkTwoPhaseDiagnosis(b *testing.B) {
 		{"samediff", sd},
 	} {
 		b.Run(e.name, func(b *testing.B) {
-			tp := diagnose.NewTwoPhase(e.d, pr.Faults, pr.Circuit, pr.Tests)
+			dict, err := e.d.Compile()
+			if err != nil {
+				b.Fatal(err)
+			}
+			tp := diagnose.NewTwoPhase(dict, pr.Faults, pr.Circuit, pr.Tests)
 			// Precompute observed responses for a rotating set of defects.
 			var observations [][]logic.BitVec
 			for fi := 0; fi < len(pr.Faults); fi += 37 {
@@ -314,7 +321,7 @@ func BenchmarkExtensionTestCompaction(b *testing.B) {
 			pr := prepared(b, "s344", tt)
 			opts := core.DefaultOptions
 			opts.Seed = 1
-			sd, _ := core.BuildSameDiff(pr.Matrix, opts)
+			sd, _ := mustBuildSameDiff(b, pr.Matrix, opts)
 			var kept int
 			var before, after int64
 			b.ResetTimer()
@@ -360,7 +367,7 @@ func BenchmarkExtensionOutputCompaction(b *testing.B) {
 				opts.Seed = 1
 				opts.Calls1 = 5
 				opts.MaxRestarts = 10
-				sd, st := core.BuildSameDiff(m, opts)
+				sd, st := mustBuildSameDiff(b, m, opts)
 				ind, size = st.IndistFinal, sd.NominalSizeBits()
 			}
 			b.ReportMetric(float64(ind), "ind_sd")
@@ -401,7 +408,7 @@ func BenchmarkParallelBuild(b *testing.B) {
 				var st core.BuildStats
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					_, st = core.BuildSameDiff(pr.Matrix, opts)
+					_, st = mustBuildSameDiff(b, pr.Matrix, opts)
 				}
 				b.ReportMetric(float64(st.IndistFinal), "ind_sd")
 				b.ReportMetric(float64(st.IndistProc1), "ind_sd_rand")
@@ -427,7 +434,7 @@ func BenchmarkParallelFaultSim(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := resp.BuildWorkersCtx(context.Background(), workers, view, pr.Faults, pr.Tests); err != nil {
+					if _, err := resp.BuildObsCtx(context.Background(), workers, view, pr.Faults, pr.Tests, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -456,7 +463,7 @@ func BenchmarkParallelSweep(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ind = 0
-				for _, res := range experiment.RunSweepCtx(context.Background(), workers, specs, nil) {
+				for _, res := range experiment.RunSweepObsCtx(context.Background(), workers, specs, nil, nil) {
 					if res.Err != nil {
 						b.Fatalf("%s/%s: %v", res.Spec.Circuit, res.Spec.TType, res.Err)
 					}
@@ -479,7 +486,7 @@ func BenchmarkDictionaryLandscape(b *testing.B) {
 	m := pr.Matrix
 	opts := core.DefaultOptions
 	opts.Seed = 1
-	sd, _ := core.BuildSameDiff(m, opts)
+	sd, _ := mustBuildSameDiff(b, m, opts)
 	entries := []struct {
 		name string
 		run  func() (int64, int64) // size bits, indistinguished pairs

@@ -14,7 +14,7 @@
 //
 // When the signature matches no modeled fault exactly, -top N switches to
 // nearest-match ranking (Hamming distance over the signature space, the
-// same core.RankRows path internal/diagnose and cmd/sddserve use) instead
+// same core.RankRows path cmd/sddserve and internal/diagnose use) instead
 // of the default no-match failure.
 package main
 

@@ -14,7 +14,7 @@
 //	concurrency   goroutines and sync.WaitGroup only in internal/par;
 //	              no shared *rand.Rand captured by pool tasks
 //	ctxpropagate  contexts threaded through the long-running layers;
-//	              root contexts only in main, tests, compat wrappers
+//	              root contexts only in main and tests
 //	determinism   seeded RNG only, duration-only time.Now, sorted
 //	              map-order results in the search packages
 //	errcmp        errors compared with errors.Is, not == / !=

@@ -44,7 +44,7 @@ func workerCounts() []int {
 
 func prepareDet(t *testing.T, name string, tt experiment.TestSetType) *experiment.Prepared {
 	t.Helper()
-	pr, err := experiment.PrepareProfile(name, tt, experiment.Config{Seed: 3, Workers: 1})
+	pr, err := experiment.PrepareProfileCtx(context.Background(), name, tt, experiment.Config{Seed: 3, Workers: 1})
 	if err != nil {
 		t.Fatalf("prepare %s/%s: %v", name, tt, err)
 	}
@@ -75,11 +75,11 @@ func TestBuildSameDiffWorkersIdentical(t *testing.T) {
 		opt.MaxRestarts = 40
 
 		opt.Workers = 1
-		dRef, stRef := core.BuildSameDiff(pr.Matrix, opt)
+		dRef, stRef := mustBuildSameDiff(t, pr.Matrix, opt)
 		for _, workers := range workerCounts()[1:] {
 			o := opt
 			o.Workers = workers
-			d, st := core.BuildSameDiff(pr.Matrix, o)
+			d, st := mustBuildSameDiff(t, pr.Matrix, o)
 			assertSameBuild(t, prof.name+"/workers="+itoa(workers), dRef, d, stRef, st)
 		}
 	}
@@ -108,7 +108,7 @@ func TestBuildSameDiffMultiWorkersIdentical(t *testing.T) {
 		opt.MaxRestarts = 40
 
 		opt.Workers = 1
-		dRef, stRef := core.BuildSameDiffMulti(pr.Matrix, opt)
+		dRef, stRef := mustBuildSameDiffMulti(t, pr.Matrix, opt)
 		if g, ok := golden[prof.name]; ok {
 			if stRef.IndistFinal != g.indistFinal || stRef.CandidateEvals != g.candEvals || stRef.Restarts != g.restarts {
 				t.Fatalf("%s: (IndistFinal, CandidateEvals, Restarts) = (%d, %d, %d), golden (%d, %d, %d)",
@@ -128,7 +128,7 @@ func TestBuildSameDiffMultiWorkersIdentical(t *testing.T) {
 					o.Obs = &obs.Observer{Metrics: m, Trace: obs.NewTracer(io.Discard, nil)}
 				}
 				label := prof.name + "/multi workers=" + itoa(workers) + " observed=" + strconv.FormatBool(observed)
-				d, st := core.BuildSameDiffMulti(pr.Matrix, o)
+				d, st := mustBuildSameDiffMulti(t, pr.Matrix, o)
 				assertSameBuild(t, label, dRef, d, stRef, st)
 				for j := range dRef.ExtraBaselines {
 					if d.ExtraBaselines[j] != dRef.ExtraBaselines[j] {
@@ -161,7 +161,7 @@ func TestResponseMatrixWorkersIdentical(t *testing.T) {
 		view := netlist.NewScanView(pr.Circuit)
 		ref := pr.Matrix
 		for _, workers := range workerCounts()[1:] {
-			m, err := resp.BuildWorkersCtx(context.Background(), workers, view, pr.Faults, pr.Tests)
+			m, err := resp.BuildObsCtx(context.Background(), workers, view, pr.Faults, pr.Tests, nil)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", prof.name, workers, err)
 			}
@@ -190,7 +190,7 @@ func TestPrepareWorkersIdentical(t *testing.T) {
 	var refCounters map[string]int64
 	for _, workers := range workerCounts() {
 		ob := &obs.Observer{Metrics: obs.NewMetrics()}
-		pr, err := experiment.PrepareProfile("s298", experiment.Diagnostic, experiment.Config{Seed: 1, Workers: workers, Obs: ob})
+		pr, err := experiment.PrepareProfileCtx(context.Background(), "s298", experiment.Diagnostic, experiment.Config{Seed: 1, Workers: workers, Obs: ob})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -232,7 +232,7 @@ func TestCheckpointResumeAcrossWorkerCounts(t *testing.T) {
 	opt.MaxRestarts = 25
 
 	opt.Workers = 1
-	dRef, stRef := core.BuildSameDiff(m, opt)
+	dRef, stRef := mustBuildSameDiff(t, m, opt)
 	if stRef.Restarts < 3 {
 		t.Skipf("reference finished in %d restarts; nothing to interrupt", stRef.Restarts)
 	}
@@ -294,7 +294,7 @@ func TestObservabilityPureMeasurement(t *testing.T) {
 		opt.MaxRestarts = 40
 
 		opt.Workers = 1
-		dRef, stRef := core.BuildSameDiff(pr.Matrix, opt)
+		dRef, stRef := mustBuildSameDiff(t, pr.Matrix, opt)
 
 		var refCounters map[string]int64
 		for _, workers := range workerCounts() {
@@ -315,7 +315,7 @@ func TestObservabilityPureMeasurement(t *testing.T) {
 			o.Workers = workers
 			o.Obs = ob
 			saveArtifactOnFailure(t, "trace-"+prof.name+"-workers"+itoa(workers)+".jsonl", trace.Bytes)
-			d, st := core.BuildSameDiff(pr.Matrix, o)
+			d, st := mustBuildSameDiff(t, pr.Matrix, o)
 			assertSameBuild(t, prof.name+"/observed workers="+itoa(workers), dRef, d, stRef, st)
 			if _, err := obs.ReadEvents(&trace); err != nil {
 				t.Fatalf("%s workers=%d: trace does not parse: %v", prof.name, workers, err)

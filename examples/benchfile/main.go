@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -82,11 +83,18 @@ func main() {
 	col := fault.Collapse(comb)
 	cfg := atpg.DefaultConfig(10)
 	cfg.Seed = 1
-	tests, _ := atpg.GenerateDetection(comb, col.Faults, cfg)
-	m := resp.Build(netlist.NewScanView(comb), col.Faults, tests)
+	ctx := context.Background()
+	tests, _ := atpg.GenerateDetectionCtx(ctx, comb, col.Faults, cfg)
+	m, err := resp.BuildObsCtx(ctx, 0, netlist.NewScanView(comb), col.Faults, tests, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 	opts := core.DefaultOptions
 	opts.Seed = 2
-	sd, st := core.BuildSameDiff(m, opts)
+	sd, st, err := core.BuildSameDiffCtx(ctx, m, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\ndictionary pipeline: %d faults, %d tests\n", m.N, m.K)
 	fmt.Printf("  pass/fail      %5d bits, %d pairs indistinguished\n",
 		core.NewPassFail(m).SizeBits(), core.NewPassFail(m).Indistinguished())

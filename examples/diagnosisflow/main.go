@@ -1,9 +1,9 @@
 // Diagnosisflow demonstrates the dictionaries in their intended role:
 // tester-side defect diagnosis. A synthetic scan circuit is built, defects
 // are injected (both modeled single stuck-at faults and a non-modeled
-// double fault), the observed responses are reduced to signatures, and the
-// candidate sets produced by the pass/fail and same/different dictionaries
-// are compared.
+// double fault), the observed responses are reduced to signatures by the
+// compiled dictionaries, and the candidate sets produced by the pass/fail
+// and same/different dictionaries are compared.
 //
 // Run with:
 //
@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -20,6 +21,7 @@ import (
 	"sddict/internal/diagnose"
 	"sddict/internal/fault"
 	"sddict/internal/gen"
+	"sddict/internal/logic"
 	"sddict/internal/netlist"
 	"sddict/internal/resp"
 )
@@ -33,19 +35,25 @@ func main() {
 
 	cfg := atpg.DefaultConfig(10)
 	cfg.Seed = 1
-	tests, st := atpg.GenerateDetection(comb, col.Faults, cfg)
+	ctx := context.Background()
+	tests, st := atpg.GenerateDetectionCtx(ctx, comb, col.Faults, cfg)
 	fmt.Printf("test set: %d vectors (10-detection), coverage %.1f%%\n", tests.Len(), 100*st.Coverage())
 
-	m := resp.Build(netlist.NewScanView(comb), col.Faults, tests)
+	m, err := resp.BuildObsCtx(ctx, 0, netlist.NewScanView(comb), col.Faults, tests, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 	pf := core.NewPassFail(m)
 	opts := core.DefaultOptions
 	opts.Seed = 3
-	sd, _ := core.BuildSameDiff(m, opts)
+	sd, _, err := core.BuildSameDiffCtx(ctx, m, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("dictionaries: pass/fail %d bits, same/different %d bits\n\n",
 		pf.SizeBits(), sd.NominalSizeBits())
 
-	dgPF := diagnose.New(pf, col.Faults)
-	dgSD := diagnose.New(sd, col.Faults)
+	cPF, cSD := mustCompile(pf), mustCompile(sd)
 
 	// Scenario 1: modeled defects. Inject single stuck-at faults and
 	// compare candidate-set sizes.
@@ -59,8 +67,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		candPF := dgPF.ExactMatches(dgPF.Signature(obs))
-		candSD := dgSD.ExactMatches(dgSD.Signature(obs))
+		candPF := cPF.Candidates(signature(cPF, obs))
+		candSD := cSD.Candidates(signature(cSD, obs))
 		switch {
 		case len(candSD) < len(candPF):
 			betterSD++
@@ -97,12 +105,33 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("  injected: %s + %s\n", col.Faults[a].Name(comb), col.Faults[b].Name(comb))
-	for name, dg := range map[string]*diagnose.Diagnoser{"pass/fail": dgPF, "same/different": dgSD} {
-		cands := dg.Diagnose(obs, 5)
-		fmt.Printf("  %-15s top candidates:", name)
-		for _, c := range cands {
+	for _, d := range []struct {
+		name string
+		dict *core.Compiled
+	}{{"pass/fail", cPF}, {"same/different", cSD}} {
+		fmt.Printf("  %-15s top candidates:", d.name)
+		for _, c := range d.dict.Rank(signature(d.dict, obs), 5) {
 			fmt.Printf(" %s(d=%d)", col.Faults[c.Fault].Name(comb), c.Distance)
 		}
 		fmt.Println()
 	}
+}
+
+// mustCompile returns d's compiled form, the bits a tester keeps and
+// diagnoses with.
+func mustCompile(d *core.Dictionary) *core.Compiled {
+	c, err := d.Compile()
+	if err != nil {
+		log.Fatal(err)
+	}
+	return c
+}
+
+// signature reduces an observation to dict's signature space.
+func signature(dict *core.Compiled, observed []logic.BitVec) logic.BitVec {
+	sig, err := dict.Signature(observed)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return sig
 }

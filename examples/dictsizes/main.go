@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -33,7 +34,7 @@ func main() {
 		col := fault.Collapse(comb)
 		cfg := atpg.DefaultConfig(10)
 		cfg.Seed = 5
-		tests, _ := atpg.GenerateDetection(comb, col.Faults, cfg)
+		tests, _ := atpg.GenerateDetectionCtx(context.Background(), comb, col.Faults, cfg)
 		if tests.Len() == 0 {
 			log.Fatalf("%s: empty test set", name)
 		}

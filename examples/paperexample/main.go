@@ -10,7 +10,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"sddict/internal/core"
 	"sddict/internal/logic"
@@ -62,7 +64,10 @@ func main() {
 	fmt.Println("Tables 4+5: Procedure 1 baseline selection")
 	opts := core.DefaultOptions
 	opts.Seed = 1
-	sd, stats := core.BuildSameDiff(m, opts)
+	sd, stats, err := core.BuildSameDiffCtx(context.Background(), m, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for j := 0; j < m.K; j++ {
 		fmt.Printf("  z_bl,%d = %s  (candidates Z_%d:", j, sd.BaselineVector(j).String(2), j)
 		for c := 0; c < m.NumClasses(j); c++ {

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,6 +19,8 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+
 	// 1. Describe a circuit with the netlist builder: a 2-bit comparator
 	//    with a registered output.
 	b := netlist.NewBuilder("quickstart")
@@ -49,19 +52,25 @@ func main() {
 	cfg := atpg.DefaultConfig(1)
 	cfg.Seed = 42
 	cfg.Compact = true
-	tests, st := atpg.GenerateDetection(comb, col.Faults, cfg)
+	tests, st := atpg.GenerateDetectionCtx(ctx, comb, col.Faults, cfg)
 	fmt.Printf("tests: %d vectors, %.1f%% fault coverage\n", tests.Len(), 100*st.Coverage())
 
 	// 5. Fault-simulate the full response matrix (the paper's z_{i,j}).
-	m := resp.Build(netlist.NewScanView(comb), col.Faults, tests)
+	m, err := resp.BuildObsCtx(ctx, 0, netlist.NewScanView(comb), col.Faults, tests, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	// 6. Build the dictionaries. BuildSameDiff runs the paper's
+	// 6. Build the dictionaries. BuildSameDiffCtx runs the paper's
 	//    Procedure 1 (random-order restarts) and Procedure 2.
 	full := core.NewFull(m)
 	pf := core.NewPassFail(m)
 	opts := core.DefaultOptions
 	opts.Seed = 7
-	sd, stats := core.BuildSameDiff(m, opts)
+	sd, stats, err := core.BuildSameDiffCtx(ctx, m, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println()
 	fmt.Printf("%-15s %12s %15s\n", "dictionary", "size (bits)", "indist. pairs")

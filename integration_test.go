@@ -1,6 +1,7 @@
 package sddict_test
 
 import (
+	"context"
 	"testing"
 
 	"sddict/internal/atpg"
@@ -12,6 +13,38 @@ import (
 	"sddict/internal/pattern"
 	"sddict/internal/resp"
 )
+
+// mustBuildMatrix fault-simulates faults under tests with one worker per
+// CPU.
+func mustBuildMatrix(tb testing.TB, view *netlist.ScanView, faults []fault.Fault, tests *pattern.Set) *resp.Matrix {
+	tb.Helper()
+	m, err := resp.BuildObsCtx(context.Background(), 0, view, faults, tests, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
+// mustBuildSameDiff builds the one-baseline same/different dictionary.
+func mustBuildSameDiff(tb testing.TB, m *resp.Matrix, opt core.Options) (*core.Dictionary, core.BuildStats) {
+	tb.Helper()
+	d, st, err := core.BuildSameDiffCtx(context.Background(), m, opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return d, st
+}
+
+// mustBuildSameDiffMulti builds the two-baseline same/different
+// dictionary.
+func mustBuildSameDiffMulti(tb testing.TB, m *resp.Matrix, opt core.Options) (*core.Dictionary, core.BuildStats) {
+	tb.Helper()
+	d, st, err := core.BuildSameDiffMultiCtx(context.Background(), m, opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return d, st
+}
 
 // exhaustiveTests enumerates all input vectors of a small circuit.
 func exhaustiveTests(width int) *pattern.Set {
@@ -35,13 +68,13 @@ func TestC17ExhaustivePipeline(t *testing.T) {
 	c := gen.C17()
 	col := fault.Collapse(c)
 	tests := exhaustiveTests(5)
-	m := resp.Build(netlist.NewScanView(c), col.Faults, tests)
+	m := mustBuildMatrix(t, netlist.NewScanView(c), col.Faults, tests)
 
 	full := core.NewFull(m)
 	pf := core.NewPassFail(m)
 	opts := core.DefaultOptions
 	opts.Seed = 1
-	_, st := core.BuildSameDiff(m, opts)
+	_, st := mustBuildSameDiff(t, m, opts)
 
 	// Under the exhaustive set, indistinguished pairs of the full
 	// dictionary are exactly the functionally equivalent pairs that
@@ -55,15 +88,15 @@ func TestC17ExhaustivePipeline(t *testing.T) {
 	if pf.Indistinguished() < fullInd {
 		t.Errorf("pass/fail beats full — impossible")
 	}
-	// Every pair's SAT verdict on its miter must agree with the exhaustive
-	// set, checked by reference simulation as well as through the full
-	// dictionary: a pair the exhaustive set leaves together is proven
-	// equivalent, and every other pair gets a test that distinguishes it.
+	// A pair the exhaustive set leaves together is functionally
+	// equivalent, checked by reference simulation as well as through the
+	// full dictionary. (internal/atpg's TestSATDistinguishMatchesExhaustive
+	// checks every c17 pair's SAT verdict on its miter against the same
+	// exhaustive simulation.)
 	p := full.Partition()
 	for i := 0; i < m.N; i++ {
 		for j := i + 1; j < m.N; j++ {
 			fa, fb := col.Faults[i], col.Faults[j]
-			name := fa.Name(c) + ", " + fb.Name(c)
 			same := p.Label(i) != core.Isolated && p.Label(i) == p.Label(j)
 			equivalent := true
 			for _, v := range tests.Vecs {
@@ -73,31 +106,8 @@ func TestC17ExhaustivePipeline(t *testing.T) {
 				}
 			}
 			if equivalent != same {
-				t.Errorf("pair (%s): exhaustive simulation says equivalent=%v, full dictionary %v", name, equivalent, same)
-			}
-			miter, err := atpg.BuildMiter(c, fa, fb)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cube, status, err := atpg.SolveOutputOne(miter, miter.POs[0], 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			switch {
-			case status == atpg.Aborted:
-				t.Errorf("pair (%s): SAT ran out of budget", name)
-			case (status == atpg.Untestable) != equivalent:
-				t.Errorf("pair (%s): equivalent under exhaustive tests is %v, but SAT says %v", name, equivalent, status)
-			case status == atpg.Success:
-				v := cube.Clone()
-				for k := range v {
-					if v[k] == logic.X {
-						v[k] = logic.Zero
-					}
-				}
-				if !atpg.Distinguishes(c, fa, fb, v) {
-					t.Errorf("pair (%s): SAT test %s does not distinguish it", name, v)
-				}
+				t.Errorf("pair (%s, %s): exhaustive simulation says equivalent=%v, full dictionary %v",
+					fa.Name(c), fb.Name(c), equivalent, same)
 			}
 		}
 	}
@@ -130,8 +140,8 @@ func TestPipelineAgreesAcrossRepresentations(t *testing.T) {
 			shared = append(shared, f)
 		}
 	}
-	mSeq := resp.Build(seqView, shared, tests)
-	mComb := resp.Build(combView, shared, tests)
+	mSeq := mustBuildMatrix(t, seqView, shared, tests)
+	mComb := mustBuildMatrix(t, combView, shared, tests)
 	if mSeq.K != mComb.K || mSeq.M != mComb.M {
 		t.Fatalf("matrix dims differ")
 	}
@@ -159,13 +169,13 @@ func TestEndToEndDeterminism(t *testing.T) {
 		col := fault.Collapse(comb)
 		cfg := atpg.DefaultConfig(3)
 		cfg.Seed = 11
-		tests, _ := atpg.GenerateDetection(comb, col.Faults, cfg)
-		m := resp.Build(netlist.NewScanView(comb), col.Faults, tests)
+		tests, _ := atpg.GenerateDetectionCtx(context.Background(), comb, col.Faults, cfg)
+		m := mustBuildMatrix(t, netlist.NewScanView(comb), col.Faults, tests)
 		opts := core.DefaultOptions
 		opts.Seed = 13
 		opts.Calls1 = 5
 		opts.MaxRestarts = 10
-		_, st := core.BuildSameDiff(m, opts)
+		_, st := mustBuildSameDiff(t, m, opts)
 		return tests.Len(), core.NewPassFail(m).Indistinguished(), st.IndistFinal
 	}
 	k1, pf1, sd1 := run()

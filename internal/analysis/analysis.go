@@ -136,17 +136,6 @@ func (p *Pass) ImportPackageFact(pkg *types.Package, fact Fact) bool {
 // nil for roots and unknown nodes.
 func (p *Pass) Parent(n ast.Node) ast.Node { return p.parents[n] }
 
-// EnclosingFunc returns the function declaration lexically containing n,
-// or nil when n is at file scope.
-func (p *Pass) EnclosingFunc(n ast.Node) *ast.FuncDecl {
-	for cur := p.parents[n]; cur != nil; cur = p.parents[cur] {
-		if fd, ok := cur.(*ast.FuncDecl); ok {
-			return fd
-		}
-	}
-	return nil
-}
-
 func buildParents(files []*ast.File) map[ast.Node]ast.Node {
 	parents := make(map[ast.Node]ast.Node)
 	for _, f := range files {

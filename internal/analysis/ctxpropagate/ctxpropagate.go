@@ -1,13 +1,8 @@
-// Package ctxpropagate enforces the cancellation contract from PR 1:
-// every long-running layer threads a caller-supplied context.Context, and
-// fresh root contexts are minted only at the process boundary (package
-// main, tests) or inside the designated non-Ctx compat wrappers.
-//
-// A compat wrapper is the one sanctioned shape for a context-free API:
-// an exported function F whose body forwards to F+"Ctx" with
-// context.Background() — e.g. Build calling BuildCtx. Anything else that
-// hands context.Background()/context.TODO() to a *Ctx API inside the
-// library swallows cancellation for every caller above it.
+// Package ctxpropagate enforces the cancellation contract: every
+// long-running layer threads a caller-supplied context.Context, and fresh
+// root contexts are minted only at the process boundary (package main,
+// tests). A context.Background()/context.TODO() inside the library
+// swallows cancellation for every caller above it.
 package ctxpropagate
 
 import (
@@ -21,12 +16,12 @@ import (
 // Analyzer is the context-propagation invariant checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxpropagate",
-	Doc:  "require caller-supplied contexts in the long-running packages; context.Background only in main, tests, and F→FCtx compat wrappers",
+	Doc:  "require caller-supplied contexts in the long-running packages; context.Background only in main and tests",
 	Run:  run,
 }
 
-// scope lists the long-running library packages (the layers PR 1 threaded
-// contexts through). Analysistest fixture packages are always in scope.
+// scope lists the long-running library packages (the layers that thread
+// contexts). Analysistest fixture packages are always in scope.
 var scope = map[string]bool{
 	"sddict/internal/core":       true,
 	"sddict/internal/atpg":       true,
@@ -48,7 +43,7 @@ func run(pass *analysis.Pass) error {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				checkRootContextArg(pass, n)
+				checkRootContext(pass, n)
 			case *ast.FuncDecl:
 				checkCtxSignature(pass, n)
 				checkExportedCallsCtx(pass, n)
@@ -59,47 +54,14 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// isRootContextCall reports whether e is context.Background() or
-// context.TODO().
-func isRootContextCall(info *types.Info, e ast.Expr) (string, bool) {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return "", false
-	}
+// checkRootContext flags every context.Background() or context.TODO()
+// call in library code.
+func checkRootContext(pass *analysis.Pass, call *ast.CallExpr) {
 	for _, name := range [...]string{"Background", "TODO"} {
-		if analysis.IsPkgFunc(info, call, "context", name) {
-			return name, true
+		if analysis.IsPkgFunc(pass.TypesInfo, call, "context", name) {
+			pass.Reportf(call.Pos(), "context.%s in library code swallows cancellation; accept and forward the caller's context", name)
+			return
 		}
-	}
-	return "", false
-}
-
-// isCompatWrapper reports whether fd is the sanctioned context-free
-// wrapper for callee: an exported F forwarding to F+"Ctx".
-func isCompatWrapper(fd *ast.FuncDecl, calleeName string) bool {
-	return fd != nil && fd.Name.IsExported() && fd.Name.Name+"Ctx" == calleeName
-}
-
-// checkRootContextArg flags *Ctx calls fed a freshly minted root context
-// outside a compat wrapper, and any context.TODO in library code.
-func checkRootContextArg(pass *analysis.Pass, call *ast.CallExpr) {
-	callee := analysis.CalleeName(call)
-	for _, arg := range call.Args {
-		name, ok := isRootContextCall(pass.TypesInfo, arg)
-		if !ok {
-			continue
-		}
-		if name == "TODO" {
-			pass.Reportf(arg.Pos(), "context.TODO in library code; thread the caller's context instead")
-			continue
-		}
-		if !strings.HasSuffix(callee, "Ctx") {
-			continue
-		}
-		if isCompatWrapper(pass.EnclosingFunc(call), callee) {
-			continue
-		}
-		pass.Reportf(arg.Pos(), "context.Background passed to %s swallows cancellation; accept and forward the caller's context (only F→FCtx compat wrappers may mint a root context)", callee)
 	}
 }
 
@@ -111,7 +73,7 @@ func checkCtxSignature(pass *analysis.Pass, fd *ast.FuncDecl) {
 	}
 	params := fd.Type.Params
 	if params != nil && len(params.List) > 0 {
-		if first := firstParamType(pass, params); first != nil && isContextType(first) {
+		if first := pass.TypesInfo.Types[params.List[0].Type].Type; first != nil && isContextType(first) {
 			return
 		}
 	}
@@ -119,8 +81,8 @@ func checkCtxSignature(pass *analysis.Pass, fd *ast.FuncDecl) {
 }
 
 // checkExportedCallsCtx flags exported context-free functions that call
-// into cancellable (*Ctx) APIs without being a designated compat wrapper:
-// they sit above a long-running layer but cannot forward cancellation.
+// into cancellable (*Ctx) APIs: they sit above a long-running layer but
+// cannot forward cancellation.
 func checkExportedCallsCtx(pass *analysis.Pass, fd *ast.FuncDecl) {
 	if !fd.Name.IsExported() || fd.Body == nil || strings.HasSuffix(fd.Name.Name, "Ctx") {
 		return
@@ -137,10 +99,7 @@ func checkExportedCallsCtx(pass *analysis.Pass, fd *ast.FuncDecl) {
 		if !strings.HasSuffix(callee, "Ctx") || callee == "Ctx" {
 			return true
 		}
-		if isCompatWrapper(fd, callee) {
-			return true
-		}
-		pass.Reportf(call.Pos(), "exported %s calls %s but accepts no context.Context; long-running layers must thread the caller's context (or be an F→FCtx compat wrapper)", fd.Name.Name, callee)
+		pass.Reportf(call.Pos(), "exported %s calls %s but accepts no context.Context; long-running layers must thread the caller's context", fd.Name.Name, callee)
 		return true
 	})
 }
@@ -155,10 +114,6 @@ func acceptsContext(pass *analysis.Pass, fd *ast.FuncDecl) bool {
 		}
 	}
 	return false
-}
-
-func firstParamType(pass *analysis.Pass, params *ast.FieldList) types.Type {
-	return pass.TypesInfo.Types[params.List[0].Type].Type
 }
 
 func isContextType(t types.Type) bool {

@@ -1,5 +1,5 @@
-// Fixture for the ctxpropagate analyzer: compat wrappers, swallowed
-// cancellation, and the *Ctx signature contract.
+// Fixture for the ctxpropagate analyzer: root contexts in library code,
+// swallowed cancellation, and the *Ctx signature contract.
 package a
 
 import "context"
@@ -18,18 +18,28 @@ func processCtx(ctx context.Context) int {
 	return BuildCtx(ctx, 1) // ok: forwards the caller's context
 }
 
-// Build is the sanctioned non-Ctx compat wrapper for BuildCtx.
+// Build is a context-free wrapper for BuildCtx: library code mints no
+// root context, wrapper or not.
 func Build(n int) int {
-	return BuildCtx(context.Background(), n) // ok: F -> FCtx compat wrapper
+	return BuildCtx(context.Background(), n) // want `context.Background in library code` `exported Build calls BuildCtx but accepts no context`
 }
 
 // Search swallows cancellation for every caller above it.
 func Search(n int) int {
-	return BuildCtx(context.Background(), n) // want `context.Background passed to BuildCtx` `exported Search calls BuildCtx but accepts no context`
+	return BuildCtx(context.Background(), n) // want `context.Background in library code` `exported Search calls BuildCtx but accepts no context`
 }
 
 func helper(n int) int {
-	return BuildCtx(context.Background(), n) // want `context.Background passed to BuildCtx`
+	return BuildCtx(context.Background(), n) // want `context.Background in library code`
+}
+
+// Fallback replaces a nil context with a root one instead of requiring
+// the caller's.
+func Fallback(ctx context.Context, n int) int {
+	if ctx == nil {
+		ctx = context.Background() // want `context.Background in library code`
+	}
+	return BuildCtx(ctx, n)
 }
 
 func Todo(ctx context.Context) int {
@@ -42,9 +52,9 @@ func RunCtx(n int) int { // want `exported RunCtx does not take a context.Contex
 	return n
 }
 
-// Stats only calls the compat wrapper, which is fine at any layer.
+// Stats calls no cancellable API, so it needs no context.
 func Stats(n int) int {
-	return Build(n)
+	return n + 1
 }
 
 // Sweep accepts a context in a non-leading position; the propagation rule

@@ -31,7 +31,7 @@ func TestCarriedProofsMatchFreshSolves(t *testing.T) {
 		cfg := DefaultConfig(1)
 		cfg.Seed = 3
 		cfg.Compact = true
-		base, st := GenerateDetection(comb, faults, cfg)
+		base, st := GenerateDetectionCtx(context.Background(), comb, faults, cfg)
 		satProofs := make([]Verdict, len(st.Verdicts))
 		for i, p := range st.Verdicts {
 			if p.Kind == SATUntestable {
@@ -72,7 +72,7 @@ func TestCarriedProofsMatchFreshSolves(t *testing.T) {
 			dcfg.Seed = 4
 			dcfg.MaxMiterCalls = 3000
 			dcfg.SATConflictBudget = budget
-			want, wantStats := GenerateDiagnostic(comb, faults, base, dcfg)
+			want, wantStats := GenerateDiagnosticCtx(context.Background(), comb, faults, base, nil, dcfg)
 			got, gotStats := GenerateDiagnosticCtx(context.Background(), comb, faults, base, satProofs, dcfg)
 			// Screening skips faults a test already isolated, so it may
 			// reach fewer proofs than were carried.
@@ -122,7 +122,7 @@ func TestCarriedBudgetOutsMatchFreshSolves(t *testing.T) {
 		cfg.Seed = 3
 		cfg.Compact = true
 		cfg.SATConflictBudget = detectBudget
-		base, st := GenerateDetection(comb, faults, cfg)
+		base, st := GenerateDetectionCtx(context.Background(), comb, faults, cfg)
 		proofs := slices.Clone(st.Verdicts)
 		n := 0
 		for i, v := range proofs {
@@ -202,7 +202,7 @@ func TestPodemProofsHoldUnderSAT(t *testing.T) {
 				cfg := DefaultConfig(n)
 				cfg.Seed = seed + 2
 				cfg.Compact = n == 1
-				_, st := GenerateDetection(comb, faults, cfg)
+				_, st := GenerateDetectionCtx(context.Background(), comb, faults, cfg)
 				for i, p := range st.Verdicts {
 					if p.Kind != PodemUntestable {
 						continue

@@ -88,20 +88,15 @@ type DiagStats struct {
 	Interrupted bool
 }
 
-// GenerateDiagnostic extends a detection test set into a diagnostic test
-// set: fault pairs with identical full responses under the current tests
-// are targeted one at a time with SAT on the pair's miter (a test driving
-// the two-faulty-copy miter output to 1 distinguishes the pair), until
-// every remaining pair is proven equivalent or exceeds the effort budget.
-// It carries no detection verdicts (see GenerateDiagnosticCtx).
-func GenerateDiagnostic(c *netlist.Circuit, faults []fault.Fault, base *pattern.Set, cfg DiagConfig) (*pattern.Set, DiagStats) {
-	return GenerateDiagnosticCtx(context.Background(), c, faults, base, nil, cfg)
-}
-
-// GenerateDiagnosticCtx is GenerateDiagnostic under a context, honoured at
-// batch and pair granularity. On cancellation it degrades gracefully: the
-// distinguishing tests added so far are kept and the base detection set is
-// never lost; DiagStats.Interrupted is set.
+// GenerateDiagnosticCtx extends a detection test set into a diagnostic
+// test set: fault pairs with identical full responses under the current
+// tests are targeted one at a time with SAT on the pair's miter (a test
+// driving the two-faulty-copy miter output to 1 distinguishes the pair),
+// until every remaining pair is proven equivalent or exceeds the effort
+// budget. The context is honoured at batch and pair granularity. On
+// cancellation it degrades gracefully: the distinguishing tests added so
+// far are kept and the base detection set is never lost;
+// DiagStats.Interrupted is set.
 //
 // verdicts, when non-nil, is GenStats.Verdicts from the detection run
 // that produced base on the same circuit and fault list. Redundancy
@@ -125,9 +120,6 @@ func GenerateDiagnostic(c *netlist.Circuit, faults []fault.Fault, base *pattern.
 // response group is proven equivalent: such faults respond identically
 // to every pattern, so no random test could split them.
 func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, base *pattern.Set, verdicts []Verdict, cfg DiagConfig) (*pattern.Set, DiagStats) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if verdicts != nil && len(verdicts) != len(faults) {
 		panic(fmt.Sprintf("atpg: %d carried verdicts for %d faults", len(verdicts), len(faults)))
 	}
@@ -143,7 +135,7 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 	p := core.NewPartition(len(faults))
 	detected := make([]bool, len(faults))
 	{
-		m, err := resp.BuildWorkersCtx(ctx, cfg.Workers, view, faults, tests)
+		m, err := resp.BuildObsCtx(ctx, cfg.Workers, view, faults, tests, nil)
 		if err != nil {
 			stats.Interrupted = true
 			return tests, stats
@@ -162,7 +154,7 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 	// worker count. It returns nil, and marks the run interrupted, if the
 	// context is cancelled first.
 	build := func(sub []fault.Fault, set *pattern.Set) *resp.Matrix {
-		m, err := resp.BuildWorkersCtx(ctx, cfg.Workers, view, sub, set)
+		m, err := resp.BuildObsCtx(ctx, cfg.Workers, view, sub, set, nil)
 		if err != nil {
 			stats.Interrupted = true
 			return nil

@@ -113,23 +113,15 @@ func (s GenStats) Coverage() float64 {
 	return float64(s.Detected) / float64(s.Faults)
 }
 
-// GenerateDetection builds an n-detection test set for the given faults on
-// a combinational circuit: a random-pattern phase keeps patterns that give
-// some fault a still-needed detection, then PODEM tops up the faults left
-// short. Untestable faults are excluded from the targets once proven
-// redundant.
-func GenerateDetection(c *netlist.Circuit, faults []fault.Fault, cfg Config) (*pattern.Set, GenStats) {
-	return GenerateDetectionCtx(context.Background(), c, faults, cfg)
-}
-
-// GenerateDetectionCtx is GenerateDetection under a context, honoured at
-// batch, fault and PODEM-decision granularity. On cancellation it degrades
-// gracefully: the tests kept so far are returned (every one of them earned
-// its place by detecting some fault) with GenStats.Interrupted set.
+// GenerateDetectionCtx builds an n-detection test set for the given
+// faults on a combinational circuit: a random-pattern phase keeps patterns
+// that give some fault a still-needed detection, then PODEM tops up the
+// faults left short. Untestable faults are excluded from the targets once
+// proven redundant. The context is honoured at batch, fault and
+// PODEM-decision granularity. On cancellation it degrades gracefully: the
+// tests kept so far are returned (every one of them earned its place by
+// detecting some fault) with GenStats.Interrupted set.
 func GenerateDetectionCtx(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, cfg Config) (*pattern.Set, GenStats) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if cfg.NDetect < 1 {
 		cfg.NDetect = 1
 	}

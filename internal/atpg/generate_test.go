@@ -41,7 +41,7 @@ func TestGenerateDetectionOneDetect(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.Seed = 9
 	cfg.Compact = true
-	tests, st := GenerateDetection(comb, col.Faults, cfg)
+	tests, st := GenerateDetectionCtx(context.Background(), comb, col.Faults, cfg)
 	if tests.Len() == 0 {
 		t.Fatal("empty test set")
 	}
@@ -78,7 +78,7 @@ func TestGenerateDetectionTenDetect(t *testing.T) {
 	col := fault.Collapse(comb)
 	cfg := DefaultConfig(10)
 	cfg.Seed = 10
-	tests, st := GenerateDetection(comb, col.Faults, cfg)
+	tests, st := GenerateDetectionCtx(context.Background(), comb, col.Faults, cfg)
 	counts := countDetections(netlist.NewScanView(comb), col.Faults, tests)
 	nDet := 0
 	for _, c := range counts {
@@ -96,7 +96,7 @@ func TestGenerateDetectionTenDetect(t *testing.T) {
 	cfg1 := DefaultConfig(1)
 	cfg1.Seed = 10
 	cfg1.Compact = true
-	tests1, _ := GenerateDetection(comb, col.Faults, cfg1)
+	tests1, _ := GenerateDetectionCtx(context.Background(), comb, col.Faults, cfg1)
 	if tests.Len() <= tests1.Len() {
 		t.Errorf("10det (%d tests) not larger than 1det (%d tests)", tests.Len(), tests1.Len())
 	}
@@ -135,17 +135,17 @@ func TestGenerateDiagnosticImprovesResolution(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.Seed = 5
 	cfg.Compact = true
-	base, _ := GenerateDetection(comb, col.Faults, cfg)
+	base, _ := GenerateDetectionCtx(context.Background(), comb, col.Faults, cfg)
 
 	pairsOf := func(tests *pattern.Set) int64 {
-		m, _ := pairsHelper(comb, col.Faults, tests)
+		m, _ := pairsHelper(t, comb, col.Faults, tests)
 		return m
 	}
 	basePairs := pairsOf(base)
 
 	dcfg := DefaultDiagConfig()
 	dcfg.Seed = 6
-	diag, st := GenerateDiagnostic(comb, col.Faults, base, dcfg)
+	diag, st := GenerateDiagnosticCtx(context.Background(), comb, col.Faults, base, nil, dcfg)
 	if diag.Len() < base.Len() {
 		t.Fatalf("diagnostic set smaller than base")
 	}
@@ -170,8 +170,12 @@ func TestGenerateDiagnosticImprovesResolution(t *testing.T) {
 
 // pairsHelper counts fault pairs with identical full responses under the
 // test set, plus the number of distinct response groups.
-func pairsHelper(c *netlist.Circuit, faults []fault.Fault, tests *pattern.Set) (int64, int) {
-	m := resp.Build(netlist.NewScanView(c), faults, tests)
+func pairsHelper(t *testing.T, c *netlist.Circuit, faults []fault.Fault, tests *pattern.Set) (int64, int) {
+	t.Helper()
+	m, err := resp.BuildObsCtx(context.Background(), 0, netlist.NewScanView(c), faults, tests, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p := core.NewPartition(len(faults))
 	for j := 0; j < m.K; j++ {
 		p.RefineByClass(m.Class[j])
@@ -205,7 +209,7 @@ func TestInterruptedPodemIsNoAbort(t *testing.T) {
 	faults := fault.Collapse(comb).Faults
 	probe := DefaultConfig(10)
 	probe.Seed = 3
-	_, pst := GenerateDetection(comb, faults, probe)
+	_, pst := GenerateDetectionCtx(context.Background(), comb, faults, probe)
 	target := -1
 	for i, p := range pst.Verdicts {
 		if p.Kind == SATUntestable {

@@ -10,21 +10,15 @@ import (
 	"sddict/internal/sat"
 )
 
-// SolveOutputOne finds, via SAT, an input vector driving the given gate of
-// a combinational circuit to 1, or proves none exists. It Tseitin-encodes
-// the gate's fanin cone with structural hashing (encodeCone) and returns
-// the vector over the circuit's scan inputs (inputs outside the cone stay
-// X). The conflict budget bounds the effort; 0 uses the solver default.
+// solveOutputOne finds, via SAT, an input vector driving the given gate of
+// a combinational circuit to 1, or proves none exists, and returns the
+// solver's conflict count. It Tseitin-encodes the gate's fanin cone with
+// structural hashing (encodeCone) and returns the vector over the
+// circuit's scan inputs (inputs outside the cone stay X). The conflict
+// budget bounds the effort; 0 uses the solver default.
 //
 // This is the complete decision procedure behind the SAT fallback for
 // pair distinguishing: structural PODEM aborts become definitive answers.
-func SolveOutputOne(c *netlist.Circuit, target int32, conflictBudget int64) (pattern.Vector, Status, error) {
-	vec, status, _, err := solveOutputOne(c, target, conflictBudget)
-	return vec, status, err
-}
-
-// solveOutputOne is SolveOutputOne, also returning the solver's conflict
-// count.
 func solveOutputOne(c *netlist.Circuit, target int32, conflictBudget int64) (pattern.Vector, Status, int64, error) {
 	if len(c.DFFs) != 0 {
 		return nil, Aborted, 0, fmt.Errorf("atpg: SAT solving requires a combinational circuit")

@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -23,8 +24,9 @@ func c17Vector(v int) pattern.Vector {
 
 // TestSATDistinguishMatchesExhaustive: on c17, the SAT-based distinguisher
 // (miter output = 1) must classify every fault pair exactly as exhaustive
-// simulation does — distinguishable pairs get a verified test, equivalent
-// pairs are proven UNSAT.
+// simulation does — distinguishable pairs get a verified test (with its
+// X inputs filled at random and with zeros), equivalent pairs are proven
+// UNSAT.
 func TestSATDistinguishMatchesExhaustive(t *testing.T) {
 	c := gen.C17()
 	col := fault.Collapse(c)
@@ -46,7 +48,7 @@ func TestSATDistinguishMatchesExhaustive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			vec, status, err := SolveOutputOne(m, m.POs[0], 0)
+			vec, status, _, err := solveOutputOne(m, m.POs[0], 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,6 +62,15 @@ func TestSATDistinguishMatchesExhaustive(t *testing.T) {
 				v.RandomFill(r)
 				if !Distinguishes(c, fa, fb, v) {
 					t.Fatalf("SAT test %s does not distinguish (%s, %s)", v, fa.Name(c), fb.Name(c))
+				}
+				z := vec.Clone()
+				for k := range z {
+					if z[k] == logic.X {
+						z[k] = logic.Zero
+					}
+				}
+				if !Distinguishes(c, fa, fb, z) {
+					t.Fatalf("zero-filled SAT test %s does not distinguish (%s, %s)", z, fa.Name(c), fb.Name(c))
 				}
 			case Untestable:
 				if !truthEquiv {
@@ -147,7 +158,7 @@ func TestSATAgreesWithPodemOnDetection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vec, status, err := SolveOutputOne(m, m.POs[0], 50000)
+		vec, status, _, err := solveOutputOne(m, m.POs[0], 50000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +200,7 @@ func TestSATAgreesWithPodemOnDetection(t *testing.T) {
 // TestSolveOutputOneRejectsSequential covers the guard.
 func TestSolveOutputOneRejectsSequential(t *testing.T) {
 	seq := gen.Profiles["s27"].MustGenerate(1)
-	if _, _, err := SolveOutputOne(seq, seq.POs[0], 0); err == nil {
+	if _, _, _, err := solveOutputOne(seq, seq.POs[0], 0); err == nil {
 		t.Fatal("sequential circuit accepted")
 	}
 }
@@ -212,7 +223,7 @@ func TestSATXnorEncoding(t *testing.T) {
 	}
 	view := netlist.NewScanView(c)
 	for _, target := range []int32{x, inv} {
-		vec, status, err := SolveOutputOne(c, target, 0)
+		vec, status, _, err := solveOutputOne(c, target, 0)
 		if err != nil || status != Success {
 			t.Fatalf("target %d: status %v err %v", target, status, err)
 		}
@@ -234,7 +245,7 @@ func TestSATConstantCone(t *testing.T) {
 	y := b.Gate(netlist.And, "y", a, n) // constant 0
 	b.Output(y)
 	c, _ := b.Build()
-	_, status, err := SolveOutputOne(c, y, 0)
+	_, status, _, err := solveOutputOne(c, y, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +273,7 @@ func TestSolveMiterRejectsFailingModel(t *testing.T) {
 	if err != nil || status != Success || mismatch {
 		t.Fatalf("checked model: status %v mismatch %v err %v, want Success false nil", status, mismatch, err)
 	}
-	want, _, _ := SolveOutputOne(miter, miter.POs[0], 0)
+	want, _, _, _ := solveOutputOne(miter, miter.POs[0], 0)
 	if cube.Key() != want.Key() {
 		t.Fatalf("checked model %s differs from the solver's %s", cube, want)
 	}
@@ -282,11 +293,11 @@ func TestSATModelsResimulate(t *testing.T) {
 		cfg := DefaultConfig(1)
 		cfg.Seed = 3
 		cfg.Compact = true
-		base, st := GenerateDetection(comb, faults, cfg)
+		base, st := GenerateDetectionCtx(context.Background(), comb, faults, cfg)
 		dcfg := DefaultDiagConfig()
 		dcfg.Seed = 4
 		dcfg.MaxMiterCalls = 3000
-		_, dst := GenerateDiagnostic(comb, faults, base, dcfg)
+		_, dst := GenerateDiagnosticCtx(context.Background(), comb, faults, base, nil, dcfg)
 		if st.ModelMismatches != 0 || dst.ModelMismatches != 0 {
 			t.Errorf("%s: %d detection and %d diagnostic SAT models failed re-simulation", name, st.ModelMismatches, dst.ModelMismatches)
 		}
@@ -308,11 +319,11 @@ func TestSATConflictsS298Diag(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.Seed = 3
 	cfg.Compact = true
-	base, st := GenerateDetection(comb, faults, cfg)
+	base, st := GenerateDetectionCtx(context.Background(), comb, faults, cfg)
 	dcfg := DefaultDiagConfig()
 	dcfg.Seed = 4
 	dcfg.MaxMiterCalls = 3000
-	_, dst := GenerateDiagnostic(comb, faults, base, dcfg)
+	_, dst := GenerateDiagnosticCtx(context.Background(), comb, faults, base, nil, dcfg)
 	if dst.SATCalls == 0 {
 		t.Fatal("no SAT call ran; the bound measured nothing")
 	}

@@ -16,7 +16,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"sddict/internal/netlist"
@@ -320,15 +319,4 @@ func Write(w io.Writer, c *netlist.Circuit) error {
 		fmt.Fprintf(bw, "%s = %s(%s)\n", g.Name, tname, strings.Join(args, ", "))
 	}
 	return bw.Flush()
-}
-
-// SortedSignalNames returns all signal names in sorted order; useful for
-// deterministic diagnostics and tests.
-func SortedSignalNames(c *netlist.Circuit) []string {
-	names := make([]string, len(c.Gates))
-	for i := range c.Gates {
-		names[i] = c.Gates[i].Name
-	}
-	sort.Strings(names)
-	return names
 }

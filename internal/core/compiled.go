@@ -100,7 +100,7 @@ func (c *Compiled) SignatureBits() int {
 	return c.NumTests
 }
 
-// Candidates returns the fault indices whose rows equal sig.
+// Candidates returns the fault indices whose rows equal sig, ascending.
 func (c *Compiled) Candidates(sig logic.BitVec) []int {
 	var out []int
 	for i, row := range c.Rows {

@@ -17,9 +17,9 @@ func buildCompiled(t *testing.T, r *rand.Rand, extra bool) (*Dictionary, *Compil
 	opts.MaxRestarts = 6
 	var d *Dictionary
 	if extra {
-		d, _ = BuildSameDiffMulti(m, opts)
+		d, _ = mustBuildSameDiffMulti(t, m, opts)
 	} else {
-		d, _ = BuildSameDiff(m, opts)
+		d, _ = mustBuildSameDiff(t, m, opts)
 	}
 	c, err := d.Compile()
 	if err != nil {

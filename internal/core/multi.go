@@ -6,52 +6,28 @@ import (
 	"sddict/internal/resp"
 )
 
-// BuildSameDiffMulti implements the extension the paper mentions but does
-// not evaluate ("one can select more than one baseline vector for a test
-// vector"): two baselines per test, giving two same/different bits per
-// fault/test. Selection is greedy per test — the best candidate is chosen
-// and applied, then the best candidate against the refined partition — with
-// the same random-order restart scheme as the one-baseline construction.
-// The dictionary costs 2·k·n bits plus storage for the non-fault-free
-// baselines. It panics on invalid options or matrix (the context-aware
-// form returns the error).
-func BuildSameDiffMulti(m *resp.Matrix, opt Options) (*Dictionary, BuildStats) {
-	d, st, err := BuildSameDiffMultiCtx(context.Background(), m, opt)
-	if err != nil {
-		panic("core: " + err.Error())
-	}
-	return d, st
-}
-
-// BuildSameDiffMultiCtx is BuildSameDiffMulti under a context: cancellation
-// and deadline stop the search at restart/sweep/test granularity and return
-// the best two-baseline dictionary found so far with BuildStats.Interrupted
-// set. The restart phase runs on the same driver as BuildSameDiffCtx with
-// two baseline slots per test, so it shares the restart schedule (both
-// constructions explore the same test orders), the index-order fold that
-// makes the outcome identical at every Options.Workers setting, the
-// observability signals, the CALLS_1 stop rule and the salvage of an
-// interrupted restart. Checkpoints record a single baseline slot, so
-// checkpoint/resume (Options.Resume, Options.CheckpointEvery,
-// Options.OnCheckpoint) applies only to the single-baseline construction
-// and is ignored here.
+// BuildSameDiffMultiCtx implements the extension the paper mentions but
+// does not evaluate ("one can select more than one baseline vector for a
+// test vector"): two baselines per test, giving two same/different bits
+// per fault/test. Selection is greedy per test — the best candidate is
+// chosen and applied, then the best candidate against the refined
+// partition. The dictionary costs 2·k·n bits plus storage for the
+// non-fault-free baselines.
+//
+// The restart phase runs on the same driver as BuildSameDiffCtx with two
+// baseline slots per test, so it shares the restart schedule (both
+// constructions explore the same test orders), cancellation at
+// restart/sweep/test granularity with a best-so-far result, the
+// index-order fold that makes the outcome identical at every
+// Options.Workers setting, the observability signals, the CALLS_1 stop
+// rule and the salvage of an interrupted restart. Checkpoints record a
+// single baseline slot, so checkpoint/resume (Options.Resume,
+// Options.CheckpointEvery, Options.OnCheckpoint) applies only to the
+// single-baseline construction and is ignored here.
 func BuildSameDiffMultiCtx(ctx context.Context, m *resp.Matrix, opt Options) (*Dictionary, BuildStats, error) {
-	var st BuildStats
-	st.IndistSeeded = -1
-	if err := opt.Validate(); err != nil {
+	st, maxRestarts, err := startBuild(m, opt)
+	if err != nil {
 		return nil, st, err
-	}
-	if err := ValidateMatrix(m); err != nil {
-		return nil, st, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	st.IndistFull = NewFull(m).Indistinguished()
-
-	maxRestarts := opt.MaxRestarts
-	if maxRestarts <= 0 {
-		maxRestarts = 1
 	}
 
 	var rs restartState

@@ -6,10 +6,11 @@ import (
 	"sddict/internal/resp"
 )
 
-// Validate checks the option values that BuildSameDiff would otherwise have
-// to clamp or misinterpret silently. Zero values remain valid (they carry
-// documented meanings: Lower 0 scans exhaustively, Calls1 0 stops after the
-// first run, MaxRestarts 0 means one run); negative values are rejected.
+// Validate checks the option values that BuildSameDiffCtx would otherwise
+// have to clamp or misinterpret silently. Zero values remain valid (they
+// carry documented meanings: Lower 0 scans exhaustively, Calls1 0 stops
+// after the first run, MaxRestarts 0 means one run); negative values are
+// rejected.
 func (opt Options) Validate() error {
 	switch {
 	case opt.Lower < 0:

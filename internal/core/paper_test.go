@@ -182,7 +182,7 @@ func TestPaperProcedure1EndToEnd(t *testing.T) {
 	m := paperMatrix(t)
 	opt := DefaultOptions
 	opt.Seed = 1
-	sd, st := BuildSameDiff(m, opt)
+	sd, st := mustBuildSameDiff(t, m, opt)
 	if st.IndistFinal != 0 {
 		t.Fatalf("Procedure 1+2 left %d pairs, want 0", st.IndistFinal)
 	}

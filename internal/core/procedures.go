@@ -50,7 +50,7 @@ type Options struct {
 	// interrupted, so cancellation never loses completed work.
 	CheckpointEvery int
 	// OnCheckpoint receives construction snapshots; typically it saves them
-	// with Checkpoint.Save. It is called synchronously from BuildSameDiff.
+	// with Checkpoint.Save. It is called synchronously from BuildSameDiffCtx.
 	OnCheckpoint func(Checkpoint)
 
 	// Obs receives measurement-only observability signals during
@@ -98,47 +98,38 @@ type BuildStats struct {
 	Resumed bool
 }
 
-// BuildSameDiff selects baseline vectors for a same/different dictionary
-// over m using Procedure 1 with random-order restarts followed by
-// Procedure 2, per the paper, and returns the dictionary with construction
-// statistics. It is BuildSameDiffCtx with a background context; it panics
-// on invalid options or matrix (the context-aware form returns the error).
-func BuildSameDiff(m *resp.Matrix, opt Options) (*Dictionary, BuildStats) {
-	d, st, err := BuildSameDiffCtx(context.Background(), m, opt)
-	if err != nil {
-		panic("core: " + err.Error())
+// startBuild validates the inputs of a same/different build and returns
+// its initial stats, with the full-dictionary floor, and its restart cap.
+func startBuild(m *resp.Matrix, opt Options) (BuildStats, int, error) {
+	st := BuildStats{IndistSeeded: -1}
+	if err := opt.Validate(); err != nil {
+		return st, 0, err
 	}
-	return d, st
+	if err := ValidateMatrix(m); err != nil {
+		return st, 0, err
+	}
+	st.IndistFull = NewFull(m).Indistinguished()
+	return st, max(opt.MaxRestarts, 1), nil
 }
 
-// BuildSameDiffCtx is BuildSameDiff under a context: cancellation and
-// deadline are honoured at restart, sweep and per-test granularity. An
-// interrupted build is not an error — it returns the best valid dictionary
-// found so far with BuildStats.Interrupted set (never worse than pass/fail
-// when Options.SeedFaultFree is set). Errors are reserved for invalid
-// options, an invalid matrix, or an incompatible resume checkpoint.
+// BuildSameDiffCtx selects baseline vectors for a same/different
+// dictionary over m using Procedure 1 with random-order restarts followed
+// by Procedure 2, per the paper, and returns the dictionary with
+// construction statistics. Cancellation and deadline are honoured at
+// restart, sweep and per-test granularity. An interrupted build is not an
+// error — it returns the best valid dictionary found so far with
+// BuildStats.Interrupted set (never worse than pass/fail when
+// Options.SeedFaultFree is set). Errors are reserved for invalid options,
+// an invalid matrix, or an incompatible resume checkpoint.
 //
 // The restart phase fans out across Options.Workers goroutines through
 // internal/par; because every restart is a pure function of (m, Seed,
 // index) and results are folded in index order, the returned dictionary
 // and every BuildStats counter are identical at every worker count.
 func BuildSameDiffCtx(ctx context.Context, m *resp.Matrix, opt Options) (*Dictionary, BuildStats, error) {
-	var st BuildStats
-	st.IndistSeeded = -1
-	if err := opt.Validate(); err != nil {
+	st, maxRestarts, err := startBuild(m, opt)
+	if err != nil {
 		return nil, st, err
-	}
-	if err := ValidateMatrix(m); err != nil {
-		return nil, st, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	st.IndistFull = NewFull(m).Indistinguished()
-
-	maxRestarts := opt.MaxRestarts
-	if maxRestarts <= 0 {
-		maxRestarts = 1
 	}
 
 	ob := opt.Obs

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+
+	"sddict/internal/resp"
 )
 
 // TestSameDiffWithFaultFreeBaselinesIsPassFail checks the structural
@@ -44,7 +46,7 @@ func TestResolutionOrdering(t *testing.T) {
 		opt.Seed = int64(trial)
 		opt.Calls1 = 5
 		opt.MaxRestarts = 20
-		sd, st := BuildSameDiff(m, opt)
+		sd, st := mustBuildSameDiff(t, m, opt)
 		got := sd.Indistinguished()
 		if got != st.IndistFinal {
 			t.Fatalf("trial %d: dictionary has %d pairs, stats claim %d", trial, got, st.IndistFinal)
@@ -133,8 +135,8 @@ func TestMultiBaselineAtLeastAsStrong(t *testing.T) {
 		opt.Seed = int64(trial)
 		opt.Calls1 = 4
 		opt.MaxRestarts = 10
-		_, st1 := BuildSameDiff(m, opt)
-		md, st2 := BuildSameDiffMulti(m, opt)
+		_, st1 := mustBuildSameDiff(t, m, opt)
+		md, st2 := mustBuildSameDiffMulti(t, m, opt)
 		if got := md.Indistinguished(); got != st2.IndistFinal {
 			t.Fatalf("trial %d: multi dictionary has %d pairs, stats claim %d", trial, got, st2.IndistFinal)
 		}
@@ -201,4 +203,25 @@ func TestProcedure2MultiNeverWorsens(t *testing.T) {
 			t.Fatalf("trial %d: reported %d, dictionary has %d", trial, after, recount)
 		}
 	}
+}
+
+// mustBuildSameDiff builds the one-baseline same/different dictionary.
+func mustBuildSameDiff(t *testing.T, m *resp.Matrix, opt Options) (*Dictionary, BuildStats) {
+	t.Helper()
+	d, st, err := BuildSameDiffCtx(context.Background(), m, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, st
+}
+
+// mustBuildSameDiffMulti builds the two-baseline same/different
+// dictionary.
+func mustBuildSameDiffMulti(t *testing.T, m *resp.Matrix, opt Options) (*Dictionary, BuildStats) {
+	t.Helper()
+	d, st, err := BuildSameDiffMultiCtx(context.Background(), m, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, st
 }

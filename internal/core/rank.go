@@ -16,7 +16,7 @@ type Ranked struct {
 
 // rankedLess is the ranking order: distance ascending, fault index
 // ascending within equal distance. Fault indices are distinct, so it is
-// a strict total order — the order internal/diagnose, cmd/diagnose and
+// a strict total order — the order diagnose.TwoPhase, cmd/diagnose and
 // the /diagnose endpoint all share, which is what makes their outputs
 // byte-comparable.
 func rankedLess(a, b Ranked) bool {

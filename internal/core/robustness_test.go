@@ -257,7 +257,7 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 	opt.MaxRestarts = 30
 
 	// Reference: one uninterrupted run.
-	dRef, stRef := BuildSameDiff(m, opt)
+	dRef, stRef := mustBuildSameDiff(t, m, opt)
 
 	// Interrupted run: cancel once three restarts have completed, keeping
 	// the last checkpoint emitted.

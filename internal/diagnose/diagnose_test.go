@@ -1,6 +1,7 @@
 package diagnose
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 	"sddict/internal/core"
 	"sddict/internal/fault"
 	"sddict/internal/gen"
+	"sddict/internal/logic"
 	"sddict/internal/netlist"
 	"sddict/internal/pattern"
 	"sddict/internal/resp"
@@ -24,9 +26,42 @@ func setup(t *testing.T) (*netlist.Circuit, []fault.Fault, *pattern.Set, *resp.M
 	col := fault.Collapse(comb)
 	cfg := atpg.DefaultConfig(3)
 	cfg.Seed = 21
-	tests, _ := atpg.GenerateDetection(comb, col.Faults, cfg)
-	m := resp.Build(netlist.NewScanView(comb), col.Faults, tests)
+	tests, _ := atpg.GenerateDetectionCtx(context.Background(), comb, col.Faults, cfg)
+	m, err := resp.BuildObsCtx(context.Background(), 0, netlist.NewScanView(comb), col.Faults, tests, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return comb, col.Faults, tests, m
+}
+
+// buildSameDiff builds the one-baseline same/different dictionary.
+func buildSameDiff(t *testing.T, m *resp.Matrix, opt core.Options) *core.Dictionary {
+	t.Helper()
+	d, _, err := core.BuildSameDiffCtx(context.Background(), m, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// compile returns the deployable form of d, which diagnosis runs on.
+func compile(t *testing.T, d *core.Dictionary) *core.Compiled {
+	t.Helper()
+	c, err := d.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// signature reduces an observation to dict's signature space.
+func signature(t *testing.T, dict *core.Compiled, observed []logic.BitVec) logic.BitVec {
+	t.Helper()
+	sig, err := dict.Signature(observed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sig
 }
 
 // TestSelfDiagnosis: injecting each modeled fault and diagnosing must put
@@ -39,14 +74,14 @@ func TestSelfDiagnosis(t *testing.T) {
 	opts.Seed = 1
 	opts.Calls1 = 4
 	opts.MaxRestarts = 8
-	sd, _ := core.BuildSameDiff(m, opts)
+	sd := buildSameDiff(t, m, opts)
 	dicts := map[string]*core.Dictionary{
 		"pass/fail":      core.NewPassFail(m),
 		"same/different": sd,
 	}
 	r := rand.New(rand.NewSource(2))
 	for name, d := range dicts {
-		dg := New(d, faults)
+		dict := compile(t, d)
 		part := d.Partition()
 		for trial := 0; trial < 15; trial++ {
 			fi := r.Intn(len(faults))
@@ -54,7 +89,7 @@ func TestSelfDiagnosis(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cands := dg.ExactMatches(dg.Signature(obs))
+			cands := dict.Candidates(signature(t, dict, obs))
 			found := false
 			for _, c := range cands {
 				if c == fi {
@@ -98,7 +133,7 @@ func TestSameDiffNarrowsCandidates(t *testing.T) {
 	opts.Seed = 3
 	opts.Calls1 = 4
 	opts.MaxRestarts = 8
-	sd, _ := core.BuildSameDiff(m, opts)
+	sd := buildSameDiff(t, m, opts)
 	qPF := EvaluateResolution(core.NewPassFail(m))
 	qSD := EvaluateResolution(sd)
 	qFull := EvaluateResolution(core.NewFull(m))
@@ -118,8 +153,7 @@ func TestSameDiffNarrowsCandidates(t *testing.T) {
 // candidates more often than chance.
 func TestRankNearestForNonModeledDefect(t *testing.T) {
 	comb, faults, tests, m := setup(t)
-	pf := core.NewPassFail(m)
-	dg := New(pf, faults)
+	dict := compile(t, core.NewPassFail(m))
 	r := rand.New(rand.NewSource(6))
 	hits := 0
 	const trials = 10
@@ -133,7 +167,15 @@ func TestRankNearestForNonModeledDefect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cands := dg.Diagnose(obs, 10)
+		// Exact matches if any, otherwise the 10 nearest rows.
+		sig := signature(t, dict, obs)
+		var cands []core.Ranked
+		for _, f := range dict.Candidates(sig) {
+			cands = append(cands, core.Ranked{Fault: f})
+		}
+		if len(cands) == 0 {
+			cands = dict.Rank(sig, 10)
+		}
 		for _, c := range cands {
 			if c.Fault == a || c.Fault == b {
 				hits++
@@ -146,36 +188,6 @@ func TestRankNearestForNonModeledDefect(t *testing.T) {
 	}
 }
 
-// TestFullMatches: full-response matching must pinpoint the injected
-// fault's full-dictionary group exactly.
-func TestFullMatches(t *testing.T) {
-	comb, faults, tests, m := setup(t)
-	full := core.NewFull(m)
-	dg := New(full, faults)
-	part := full.Partition()
-	r := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 10; trial++ {
-		fi := r.Intn(len(faults))
-		obs, err := ObservedResponses(comb, []fault.Fault{faults[fi]}, tests)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cands := dg.FullMatches(obs)
-		found := false
-		for _, c := range cands {
-			if c == fi {
-				found = true
-			}
-			if c != fi && (part.Label(c) == core.Isolated || part.Label(c) != part.Label(fi)) {
-				t.Fatalf("full match %d outside the group of %d", c, fi)
-			}
-		}
-		if !found {
-			t.Fatalf("injected fault %d not among full matches", fi)
-		}
-	}
-}
-
 // TestSignatureAgainstDictionaryRows: the signature computed from simulated
 // observed responses of fault i must equal row i of the dictionary — the
 // deployment-side and construction-side signatures are the same function.
@@ -185,8 +197,8 @@ func TestSignatureAgainstDictionaryRows(t *testing.T) {
 	opts.Seed = 9
 	opts.Calls1 = 3
 	opts.MaxRestarts = 5
-	sd, _ := core.BuildSameDiff(m, opts)
-	dg := New(sd, faults)
+	sd := buildSameDiff(t, m, opts)
+	dict := compile(t, sd)
 	r := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 10; trial++ {
 		fi := r.Intn(len(faults))
@@ -194,7 +206,7 @@ func TestSignatureAgainstDictionaryRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sig := dg.Signature(obs)
+		sig := signature(t, dict, obs)
 		if !sig.Equal(sd.Row(fi)) {
 			t.Fatalf("signature of injected fault %d differs from its dictionary row", fi)
 		}
@@ -212,7 +224,7 @@ func TestEvaluateResolutionBruteForce(t *testing.T) {
 	opts.Seed = 3
 	opts.Calls1 = 3
 	opts.MaxRestarts = 5
-	sd, _ := core.BuildSameDiff(m, opts)
+	sd := buildSameDiff(t, m, opts)
 	for name, d := range map[string]*core.Dictionary{
 		"full":           core.NewFull(m),
 		"pass/fail":      core.NewPassFail(m),
@@ -261,8 +273,7 @@ func TestEvaluateResolutionBruteForce(t *testing.T) {
 // the tie-break (distance ascending, fault ascending).
 func TestRankBoundedMatchesFullSort(t *testing.T) {
 	comb, faults, tests, m := setup(t)
-	pf := core.NewPassFail(m)
-	dg := New(pf, faults)
+	dict := compile(t, core.NewPassFail(m))
 	r := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 5; trial++ {
 		a, b := r.Intn(len(faults)), r.Intn(len(faults))
@@ -270,8 +281,8 @@ func TestRankBoundedMatchesFullSort(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sig := dg.Signature(obs)
-		full := dg.Rank(sig, 0) // reference: full sort
+		sig := signature(t, dict, obs)
+		full := dict.Rank(sig, 0) // reference: full sort
 		if len(full) != len(faults) {
 			t.Fatalf("full rank returned %d of %d faults", len(full), len(faults))
 		}
@@ -283,7 +294,7 @@ func TestRankBoundedMatchesFullSort(t *testing.T) {
 			}
 		}
 		for _, topK := range []int{1, 2, 3, 7, 10, 64, len(faults) - 1, len(faults), len(faults) + 5} {
-			got := dg.Rank(sig, topK)
+			got := dict.Rank(sig, topK)
 			wantLen := topK
 			if topK > len(full) {
 				wantLen = len(full)

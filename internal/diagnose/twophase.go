@@ -1,6 +1,8 @@
 package diagnose
 
 import (
+	"fmt"
+
 	"sddict/internal/core"
 	"sddict/internal/fault"
 	"sddict/internal/logic"
@@ -16,18 +18,24 @@ import (
 // those candidates compares full responses, recovering full-dictionary
 // resolution without ever storing the full dictionary.
 type TwoPhase struct {
-	dg    *Diagnoser
-	view  *netlist.ScanView
-	tests *pattern.Set
+	dict   *core.Compiled
+	faults []fault.Fault
+	view   *netlist.ScanView
+	tests  *pattern.Set
 }
 
-// NewTwoPhase builds a two-phase diagnoser over the dictionary d for the
-// given circuit (combinational full-scan form) and its test set.
-func NewTwoPhase(d *core.Dictionary, faults []fault.Fault, c *netlist.Circuit, tests *pattern.Set) *TwoPhase {
+// NewTwoPhase builds a two-phase diagnoser over the compiled dictionary
+// dict, whose rows are the given faults, for the circuit (combinational
+// full-scan form) and its test set.
+func NewTwoPhase(dict *core.Compiled, faults []fault.Fault, c *netlist.Circuit, tests *pattern.Set) *TwoPhase {
+	if len(faults) != len(dict.Rows) {
+		panic(fmt.Sprintf("diagnose: %d faults != %d dictionary rows", len(faults), len(dict.Rows)))
+	}
 	return &TwoPhase{
-		dg:    New(d, faults),
-		view:  netlist.NewScanView(c),
-		tests: tests,
+		dict:   dict,
+		faults: faults,
+		view:   netlist.NewScanView(c),
+		tests:  tests,
 	}
 }
 
@@ -45,15 +53,18 @@ type Result struct {
 }
 
 // Diagnose runs both phases on the observed responses (one output vector
-// per test).
+// per test). It panics when observed does not hold one vector per test.
 func (tp *TwoPhase) Diagnose(observed []logic.BitVec) Result {
 	var res Result
-	sig := tp.dg.Signature(observed)
-	res.Phase1 = tp.dg.ExactMatches(sig)
+	sig, err := tp.dict.Signature(observed)
+	if err != nil {
+		panic("diagnose: " + err.Error())
+	}
+	res.Phase1 = tp.dict.Candidates(sig)
 	if len(res.Phase1) == 0 {
 		// Fall back to the nearest rows; take every fault at the minimum
 		// distance.
-		ranked := tp.dg.Rank(sig, 0)
+		ranked := tp.dict.Rank(sig, 0)
 		if len(ranked) == 0 {
 			return res
 		}
@@ -70,7 +81,7 @@ func (tp *TwoPhase) Diagnose(observed []logic.BitVec) Result {
 	// matches.
 	res.Simulated = len(res.Phase1)
 	for _, fi := range res.Phase1 {
-		if tp.fullResponseMatches(tp.dg.Faults[fi], observed) {
+		if tp.fullResponseMatches(tp.faults[fi], observed) {
 			res.Phase2 = append(res.Phase2, fi)
 		}
 	}

@@ -19,13 +19,13 @@ func TestTwoPhaseRecoversFullResolution(t *testing.T) {
 	opts.Seed = 5
 	opts.Calls1 = 3
 	opts.MaxRestarts = 6
-	sd, _ := core.BuildSameDiff(m, opts)
+	sd := buildSameDiff(t, m, opts)
 
 	for name, d := range map[string]*core.Dictionary{
 		"pass/fail":      core.NewPassFail(m),
 		"same/different": sd,
 	} {
-		tp := NewTwoPhase(d, faults, comb, tests)
+		tp := NewTwoPhase(compile(t, d), faults, comb, tests)
 		r := rand.New(rand.NewSource(99))
 		for trial := 0; trial < 12; trial++ {
 			fi := r.Intn(len(faults))
@@ -71,9 +71,9 @@ func TestTwoPhaseSavesSimulation(t *testing.T) {
 	opts.Seed = 6
 	opts.Calls1 = 3
 	opts.MaxRestarts = 6
-	sd, _ := core.BuildSameDiff(m, opts)
-	tpPF := NewTwoPhase(core.NewPassFail(m), faults, comb, tests)
-	tpSD := NewTwoPhase(sd, faults, comb, tests)
+	sd := buildSameDiff(t, m, opts)
+	tpPF := NewTwoPhase(compile(t, core.NewPassFail(m)), faults, comb, tests)
+	tpSD := NewTwoPhase(compile(t, sd), faults, comb, tests)
 
 	r := rand.New(rand.NewSource(123))
 	totalPF, totalSD := 0, 0
@@ -101,7 +101,7 @@ func TestTwoPhaseSavesSimulation(t *testing.T) {
 // "not a modeled fault" outcome).
 func TestTwoPhaseNonModeledDefect(t *testing.T) {
 	comb, faults, tests, m := setup(t)
-	tp := NewTwoPhase(core.NewPassFail(m), faults, comb, tests)
+	tp := NewTwoPhase(compile(t, core.NewPassFail(m)), faults, comb, tests)
 	r := rand.New(rand.NewSource(7))
 	sawEmptyPhase2 := false
 	for trial := 0; trial < 6 && !sawEmptyPhase2; trial++ {

@@ -117,21 +117,13 @@ type Config struct {
 	// (0 = one per available CPU, 1 = sequential). Every setting
 	// produces byte-identical rows (DESIGN.md §9).
 	Workers int
-	// DetectCfg, DiagCfg and DictOpts override the scaled defaults when
-	// non-nil.
-	DetectCfg *atpg.Config
-	DiagCfg   *atpg.DiagConfig
-	DictOpts  *core.Options
 
 	// CheckpointPath, when non-empty, makes dictionary construction
 	// persist its restart state to this file so a killed run can resume.
 	// If the file already exists and matches the matrix and options, the
-	// search resumes from it; the file is rewritten every CheckpointEvery
-	// completed restarts and removed on clean completion.
+	// search resumes from it; the file is rewritten after every completed
+	// restart and removed on clean completion.
 	CheckpointPath string
-	// CheckpointEvery is the restart interval between checkpoint writes
-	// (default 1 when CheckpointPath is set).
-	CheckpointEvery int
 
 	// Obs observes the pipeline: response-matrix batches and dictionary
 	// construction record into it, and build events land on its trace.
@@ -164,7 +156,6 @@ type Row struct {
 	IndSDFinal      int64 // with fault-free seeding (never worse than p/f)
 	StoredBaselines int   // baselines kept after storage minimization
 	SizeSDMinimized int64 // k·n + stored·m
-	Coverage        float64
 	BuildStats      core.BuildStats
 	Elapsed         time.Duration
 	// Status reports whether the dictionary search ran to completion or
@@ -185,43 +176,45 @@ type Prepared struct {
 	GenInfo string
 }
 
-// scaledEffort returns the default effort for a gate count: full effort for
-// small circuits, reduced for the big ones so a Table-6 sweep stays
-// tractable on one core.
-func scaledEffort(gates int) float64 {
-	switch {
-	case gates <= 700:
-		return 1
-	case gates <= 3000:
-		return 0.35
-	default:
-		return 0.12
+// scaled returns the dictionary search options and the diagnostic test
+// generation settings for a circuit of the given gate count; seeds and
+// worker counts are left to the caller. An effort <= 0 is replaced by the
+// default for the size: full effort for small circuits, reduced for the
+// big ones so a Table-6 sweep stays tractable on one core.
+func scaled(gates int, effort float64) (core.Options, atpg.DiagConfig) {
+	if effort <= 0 {
+		switch {
+		case gates <= 700:
+			effort = 1
+		case gates <= 3000:
+			effort = 0.35
+		default:
+			effort = 0.12
+		}
 	}
-}
-
-// dictOptions derives core.Options from effort.
-func dictOptions(seed int64, effort float64) core.Options {
 	opt := core.DefaultOptions
-	opt.Seed = seed
 	opt.Calls1 = max(2, int(float64(opt.Calls1)*effort))
 	opt.MaxRestarts = max(4, int(float64(opt.MaxRestarts)*effort))
-	return opt
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
+	gcfg := atpg.DefaultDiagConfig()
+	gcfg.MaxMiterCalls = max(200, int(3000*effort))
+	// Large circuits: SAT rarely closes the hardest pairs, so spend the
+	// budget on random distinguishing patience instead.
+	switch {
+	case gates > 3000:
+		gcfg.UselessBatchLimit = 30
+		gcfg.MaxMiterCalls = 250
+		gcfg.SATConflictBudget = 3000
+		gcfg.MaxSATCalls = 30
+	case gates > 700:
+		gcfg.UselessBatchLimit = 20
+		gcfg.SATConflictBudget = 8000
+		gcfg.MaxSATCalls = 40
 	}
-	return b
+	return opt, gcfg
 }
 
-// PrepareProfile synthesizes the named circuit profile and generates the
-// requested test set, returning the prepared pipeline state.
-func PrepareProfile(name string, tt TestSetType, cfg Config) (*Prepared, error) {
-	return PrepareProfileCtx(context.Background(), name, tt, cfg)
-}
-
-// PrepareProfileCtx is PrepareProfile under a context.
+// PrepareProfileCtx synthesizes the named circuit profile and runs
+// PrepareCtx on it.
 func PrepareProfileCtx(ctx context.Context, name string, tt TestSetType, cfg Config) (pr *Prepared, err error) {
 	defer recoverStage(StageSynthesize, name, &err)
 	p, err := gen.Named(name)
@@ -232,39 +225,22 @@ func PrepareProfileCtx(ctx context.Context, name string, tt TestSetType, cfg Con
 	return PrepareCtx(ctx, seq, tt, cfg)
 }
 
-// Prepare runs the front half of the pipeline on an arbitrary (possibly
+// PrepareCtx runs the front half of the pipeline on an arbitrary (possibly
 // sequential) circuit: full-scan conversion, fault collapsing, test
-// generation and full-response fault simulation.
-func Prepare(c *netlist.Circuit, tt TestSetType, cfg Config) (*Prepared, error) {
-	return PrepareCtx(context.Background(), c, tt, cfg)
-}
-
-// PrepareCtx is Prepare under a context. The front half has no usable
-// partial result — a truncated test set or response matrix would silently
-// distort every dictionary derived from it — so cancellation here returns
-// an error (wrapping ctx.Err()) rather than degraded state.
+// generation and full-response fault simulation. The front half has no
+// usable partial result — a truncated test set or response matrix would
+// silently distort every dictionary derived from it — so cancellation
+// here returns an error (wrapping ctx.Err()) rather than degraded state.
 func PrepareCtx(ctx context.Context, c *netlist.Circuit, tt TestSetType, cfg Config) (pr *Prepared, err error) {
 	defer recoverStage(StagePrepare, circuitName(c), &err)
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	comb := netlist.Combinationalize(c)
 	col := fault.Collapse(comb)
-	effort := cfg.Effort
-	if effort <= 0 {
-		effort = scaledEffort(comb.NumLogicGates())
-	}
-
-	gates := comb.NumLogicGates()
 	var tests *pattern.Set
 	var info string
 	switch tt {
 	case TenDetect:
 		dcfg := atpg.DefaultConfig(10)
 		dcfg.Seed = cfg.Seed + 2
-		if cfg.DetectCfg != nil {
-			dcfg = *cfg.DetectCfg
-		}
 		set, st := atpg.GenerateDetectionCtx(ctx, comb, col.Faults, dcfg)
 		tests = set
 		recordATPG(cfg.Obs, st, atpg.DiagStats{})
@@ -274,30 +250,10 @@ func PrepareCtx(ctx context.Context, c *netlist.Circuit, tt TestSetType, cfg Con
 		dcfg := atpg.DefaultConfig(1)
 		dcfg.Seed = cfg.Seed + 2
 		dcfg.Compact = true
-		if cfg.DetectCfg != nil {
-			dcfg = *cfg.DetectCfg
-		}
 		base, st := atpg.GenerateDetectionCtx(ctx, comb, col.Faults, dcfg)
-		gcfg := atpg.DefaultDiagConfig()
+		_, gcfg := scaled(comb.NumLogicGates(), cfg.Effort)
 		gcfg.Seed = cfg.Seed + 3
 		gcfg.Workers = cfg.Workers
-		gcfg.MaxMiterCalls = max(200, int(3000*effort))
-		// Large circuits: SAT rarely closes the hardest pairs, so spend
-		// the budget on random distinguishing patience instead.
-		switch {
-		case gates > 3000:
-			gcfg.UselessBatchLimit = 30
-			gcfg.MaxMiterCalls = 250
-			gcfg.SATConflictBudget = 3000
-			gcfg.MaxSATCalls = 30
-		case gates > 700:
-			gcfg.UselessBatchLimit = 20
-			gcfg.SATConflictBudget = 8000
-			gcfg.MaxSATCalls = 40
-		}
-		if cfg.DiagCfg != nil {
-			gcfg = *cfg.DiagCfg
-		}
 		set, dst := atpg.GenerateDiagnosticCtx(ctx, comb, col.Faults, base, st.Verdicts, gcfg)
 		tests = set
 		recordATPG(cfg.Obs, st, dst)
@@ -335,18 +291,9 @@ func recordATPG(ob *obs.Observer, st atpg.GenStats, dst atpg.DiagStats) {
 	m.Add(obs.ATPGPodemProofs, int64(dst.PodemProofs))
 }
 
-// BuildRow runs the back half of the pipeline (dictionary construction) on
-// prepared state.
-func BuildRow(pr *Prepared, tt TestSetType, cfg Config) Row {
-	row, err := BuildRowCtx(context.Background(), pr, tt, cfg)
-	if err != nil {
-		panic(err) // preserved pre-context behaviour: invalid options panicked
-	}
-	return row
-}
-
-// BuildRowCtx is BuildRow under a context. Dictionary construction is an
-// anytime search, so cancellation degrades gracefully: the returned Row
+// BuildRowCtx runs the back half of the pipeline (dictionary
+// construction) on prepared state. Dictionary construction is an anytime
+// search, so cancellation degrades gracefully: the returned Row
 // holds the best dictionary found so far and Status RowInterrupted. A
 // non-nil error means no row could be built (invalid options, recovered
 // panic) — except for checkpoint-save failures, where the returned Row is
@@ -359,26 +306,15 @@ func BuildRowCtx(ctx context.Context, pr *Prepared, tt TestSetType, cfg Config) 
 	}
 	defer recoverStage(StageDictionary, name, &err)
 	start := time.Now()
-	effort := cfg.Effort
-	if effort <= 0 {
-		effort = scaledEffort(pr.Circuit.NumLogicGates())
-	}
-	opts := dictOptions(cfg.Seed+4, effort)
+	opts, _ := scaled(pr.Circuit.NumLogicGates(), cfg.Effort)
+	opts.Seed = cfg.Seed + 4
 	opts.Workers = cfg.Workers
-	if cfg.DictOpts != nil {
-		opts = *cfg.DictOpts
-	}
-	if opts.Obs == nil {
-		opts.Obs = cfg.Obs
-	}
+	opts.Obs = cfg.Obs
 
 	m := pr.Matrix
 	var saveErr error
 	if cfg.CheckpointPath != "" {
-		opts.CheckpointEvery = cfg.CheckpointEvery
-		if opts.CheckpointEvery <= 0 {
-			opts.CheckpointEvery = 1
-		}
+		opts.CheckpointEvery = 1
 		path := cfg.CheckpointPath
 		opts.OnCheckpoint = func(cp core.Checkpoint) {
 			if serr := cp.Save(path); serr != nil && saveErr == nil {
@@ -434,26 +370,5 @@ func BuildRowCtx(ctx context.Context, pr *Prepared, tt TestSetType, cfg Config) 
 		return row, &StageError{Stage: StageDictionary, Circuit: pr.Circuit.Name,
 			Err: fmt.Errorf("checkpoint save: %w", saveErr)}
 	}
-	return row, nil
-}
-
-// RunProfileRow executes the full pipeline for one Table-6 row.
-func RunProfileRow(name string, tt TestSetType, cfg Config) (Row, error) {
-	return RunProfileRowCtx(context.Background(), name, tt, cfg)
-}
-
-// RunProfileRowCtx is RunProfileRow under a context: cancellation during
-// test generation errors out, cancellation during dictionary construction
-// yields a best-so-far Row with Status RowInterrupted.
-func RunProfileRowCtx(ctx context.Context, name string, tt TestSetType, cfg Config) (Row, error) {
-	pr, err := PrepareProfileCtx(ctx, name, tt, cfg)
-	if err != nil {
-		return Row{}, err
-	}
-	row, err := BuildRowCtx(ctx, pr, tt, cfg)
-	if err != nil {
-		return row, err
-	}
-	row.Circuit = name
 	return row, nil
 }

@@ -1,20 +1,29 @@
 package experiment
 
 import (
+	"context"
 	"testing"
 
 	"sddict/internal/atpg"
-	"sddict/internal/core"
 	"sddict/internal/dictio"
 	"sddict/internal/gen"
 )
+
+// runProfileRow runs the whole pipeline for one Table-6 row.
+func runProfileRow(name string, tt TestSetType, cfg Config) (Row, error) {
+	pr, err := PrepareProfileCtx(context.Background(), name, tt, cfg)
+	if err != nil {
+		return Row{}, err
+	}
+	return BuildRowCtx(context.Background(), pr, tt, cfg)
+}
 
 // TestRowSmallCircuit runs the whole pipeline end to end on a small
 // profile for both test-set types and checks the paper's structural
 // claims on the resulting row.
 func TestRowSmallCircuit(t *testing.T) {
 	for _, tt := range []TestSetType{Diagnostic, TenDetect} {
-		row, err := RunProfileRow("s298", tt, Config{Seed: 7})
+		row, err := runProfileRow("s298", tt, Config{Seed: 7})
 		if err != nil {
 			t.Fatalf("%s: %v", tt, err)
 		}
@@ -54,11 +63,11 @@ func TestRowSmallCircuit(t *testing.T) {
 // pairs under a full dictionary than a 10-detection set (claim 5 in
 // DESIGN.md), while the 10-detection set is larger (start of claim 4).
 func TestDiagBeatsTenDetectOnFullDictionary(t *testing.T) {
-	diag, err := RunProfileRow("s344", Diagnostic, Config{Seed: 3})
+	diag, err := runProfileRow("s344", Diagnostic, Config{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tdet, err := RunProfileRow("s344", TenDetect, Config{Seed: 3})
+	tdet, err := runProfileRow("s344", TenDetect, Config{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,45 +81,75 @@ func TestDiagBeatsTenDetectOnFullDictionary(t *testing.T) {
 }
 
 func TestPrepareUnknownInputs(t *testing.T) {
-	if _, err := RunProfileRow("nope", Diagnostic, Config{}); err == nil {
+	if _, err := runProfileRow("nope", Diagnostic, Config{}); err == nil {
 		t.Error("unknown profile accepted")
 	}
 	c := gen.Profiles["s27"].MustGenerate(1)
-	if _, err := Prepare(c, "weird", Config{}); err == nil {
+	if _, err := PrepareCtx(context.Background(), c, "weird", Config{}); err == nil {
 		t.Error("unknown test-set type accepted")
 	}
 }
 
-// TestPrepareLargeCircuitPaths smoke-tests the large-circuit knob scaling
-// with tiny generation budgets so it stays fast.
+// TestScaled pins the size-scaled settings on both sides of each gate
+// threshold: the default effort's restart budgets and pair budget, and
+// the large-circuit SAT settings that replace the defaults above 700 and
+// above 3000 gates. An explicit effort is kept, and above 3000 gates the
+// pair budget no longer follows it.
+func TestScaled(t *testing.T) {
+	diag := func(miter, useless int, budget int64, maxSAT int) atpg.DiagConfig {
+		g := atpg.DefaultDiagConfig()
+		g.MaxMiterCalls = miter
+		g.UselessBatchLimit = useless
+		g.SATConflictBudget = budget
+		g.MaxSATCalls = maxSAT
+		return g
+	}
+	for _, tc := range []struct {
+		gates            int
+		effort           float64
+		calls1, restarts int
+		wantDiag         atpg.DiagConfig
+	}{
+		{700, 0, 100, 2000, diag(3000, 12, 8000, 100)},
+		{701, 0, 35, 700, diag(1050, 20, 8000, 40)},
+		{3000, 0, 35, 700, diag(1050, 20, 8000, 40)},
+		{3001, 0, 12, 240, diag(250, 30, 3000, 30)},
+		{100, 0.05, 5, 100, diag(200, 12, 8000, 100)},
+		{701, 0.5, 50, 1000, diag(1500, 20, 8000, 40)},
+		{3001, 1, 100, 2000, diag(250, 30, 3000, 30)},
+	} {
+		opt, gcfg := scaled(tc.gates, tc.effort)
+		if opt.Calls1 != tc.calls1 || opt.MaxRestarts != tc.restarts || gcfg != tc.wantDiag {
+			t.Errorf("scaled(%d, %v): Calls1 %d, MaxRestarts %d, %+v; want %d, %d, %+v",
+				tc.gates, tc.effort, opt.Calls1, opt.MaxRestarts, gcfg, tc.calls1, tc.restarts, tc.wantDiag)
+		}
+	}
+}
+
+// TestPrepareLargeCircuitPaths smoke-tests a circuit above the 700-gate
+// threshold end to end, under the settings TestScaled pins: both test-set
+// types prepare, and the diagnostic row builds.
 func TestPrepareLargeCircuitPaths(t *testing.T) {
-	tiny := atpg.DefaultConfig(2)
-	tiny.Seed = 1
-	tiny.MaxRandomBatches = 3
-	tiny.UselessBatchLimit = 1
-	tiny.TopUpRounds = 0
-	pr, err := PrepareProfile("s1423", TenDetect, Config{Seed: 1, DetectCfg: &tiny})
+	ctx := context.Background()
+	cfg := Config{Seed: 1}
+	pr, err := PrepareProfileCtx(ctx, "s1423", TenDetect, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pr.Matrix.K == 0 || pr.Matrix.N == 0 {
 		t.Fatal("degenerate matrix")
 	}
-
-	dtiny := atpg.DefaultConfig(1)
-	dtiny.Seed = 1
-	dtiny.MaxRandomBatches = 2
-	dtiny.UselessBatchLimit = 1
-	dtiny.TopUpRounds = 0
-	dcfg := atpg.DefaultDiagConfig()
-	dcfg.MaxRounds = 1
-	dcfg.MaxMiterCalls = 1
-	dcfg.MaxRandomBatches = 1
-	prd, err := PrepareProfile("s1423", Diagnostic, Config{Seed: 1, DetectCfg: &dtiny, DiagCfg: &dcfg})
+	prd, err := PrepareProfileCtx(ctx, "s1423", Diagnostic, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := BuildRow(prd, Diagnostic, Config{Seed: 1, DictOpts: &core.Options{Calls1: 1, MaxRestarts: 1}})
+	if gates := prd.Circuit.NumLogicGates(); gates <= 700 {
+		t.Fatalf("s1423 has %d gates, so this test no longer reaches the large-circuit settings", gates)
+	}
+	row, err := BuildRowCtx(ctx, prd, Diagnostic, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if row.Dict == nil || row.IndSDFinal < row.IndFull {
 		t.Fatalf("bad row: %+v", row)
 	}
@@ -138,11 +177,14 @@ func TestPipelineTestSetChecksums(t *testing.T) {
 		{"s344", TenDetect, 344, "8d848fdd", 1168, 1428, 1168, 1},
 	} {
 		cfg := Config{Seed: 1, Workers: 1}
-		pr, err := PrepareProfile(tc.circuit, tc.tt, cfg)
+		pr, err := PrepareProfileCtx(context.Background(), tc.circuit, tc.tt, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		row := BuildRow(pr, tc.tt, cfg)
+		row, err := BuildRowCtx(context.Background(), pr, tc.tt, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		compiled, err := row.Dict.Compile()
 		if err != nil {
 			t.Fatal(err)

@@ -6,17 +6,15 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"sddict/internal/core"
 )
 
 // prepareSmall runs the front half once on a small profile; helpers below
 // reuse it to exercise the back half's failure modes cheaply.
 func prepareSmall(t *testing.T) *Prepared {
 	t.Helper()
-	pr, err := PrepareProfile("s27", Diagnostic, Config{Seed: 7})
+	pr, err := PrepareProfileCtx(context.Background(), "s27", Diagnostic, Config{Seed: 7})
 	if err != nil {
-		t.Fatalf("PrepareProfile: %v", err)
+		t.Fatalf("PrepareProfileCtx: %v", err)
 	}
 	return pr
 }
@@ -48,11 +46,9 @@ func TestBuildRowCtxRecoversPanic(t *testing.T) {
 // not panics, and identify the dictionary stage.
 func TestBuildRowCtxInvalidOptions(t *testing.T) {
 	pr := prepareSmall(t)
-	bad := core.DefaultOptions
-	bad.Lower = -1
-	_, err := BuildRowCtx(context.Background(), pr, Diagnostic, Config{Seed: 7, DictOpts: &bad})
+	_, err := BuildRowCtx(context.Background(), pr, Diagnostic, Config{Seed: 7, Workers: -1})
 	if err == nil {
-		t.Fatalf("invalid DictOpts accepted")
+		t.Fatalf("invalid Workers accepted")
 	}
 	var se *StageError
 	if !errors.As(err, &se) || se.Stage != StageDictionary {

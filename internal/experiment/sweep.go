@@ -63,7 +63,7 @@ func runSpec(ctx context.Context, sp RowSpec, ob *obs.Observer) RowResult {
 	return res
 }
 
-// RunSweepCtx runs the given sweep rows, at most workers concurrently
+// RunSweepObsCtx runs the given sweep rows, at most workers concurrently
 // (0 = one per available CPU), and returns their results in spec order.
 // Rows are independent pipelines — each fails, degrades (RowInterrupted)
 // or panics on its own without affecting the others, exactly as in the
@@ -80,17 +80,13 @@ func runSpec(ctx context.Context, sp RowSpec, ob *obs.Observer) RowResult {
 // many small circuits parallelizes best across rows, a single huge row
 // across restarts and fault shards. Both knobs preserve byte-identical
 // results; only scheduling changes.
-func RunSweepCtx(ctx context.Context, workers int, specs []RowSpec, observe func(i int, res RowResult)) []RowResult {
-	return RunSweepObsCtx(ctx, workers, specs, nil, observe)
-}
-
-// RunSweepObsCtx is RunSweepCtx with an observer. Each row runs under a
-// scoped child observer (fresh metrics registry, shared trace), and at
-// the ordered delivery point the row's counters are merged into ob's
-// registry and snapshotted into RowResult.Metrics — so sweep-level
-// metric values are independent of worker count. Row outcome counters
-// (sweep_rows_done/failed/interrupted) and the row_end trace event are
-// likewise recorded only at delivery.
+//
+// ob may be nil. Each row runs under a scoped child observer (fresh
+// metrics registry, shared trace), and at the ordered delivery point the
+// row's counters are merged into ob's registry and snapshotted into
+// RowResult.Metrics — so sweep-level metric values are independent of
+// worker count. Row outcome counters (sweep_rows_done/failed/interrupted)
+// and the row_end trace event are likewise recorded only at delivery.
 func RunSweepObsCtx(ctx context.Context, workers int, specs []RowSpec, ob *obs.Observer, observe func(i int, res RowResult)) []RowResult {
 	results := make([]RowResult, 0, len(specs))
 	pool := par.New(workers)

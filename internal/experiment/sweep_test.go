@@ -20,7 +20,7 @@ func TestRunSweepDeterministicAcrossWorkers(t *testing.T) {
 
 	run := func(workers int) []RowResult {
 		var orderSeen []int
-		results := RunSweepCtx(context.Background(), workers, specs, func(i int, _ RowResult) {
+		results := RunSweepObsCtx(context.Background(), workers, specs, nil, func(i int, _ RowResult) {
 			orderSeen = append(orderSeen, i)
 		})
 		for i, got := range orderSeen {
@@ -83,7 +83,7 @@ func TestRunSweepCancelledPrefix(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var observed []RowResult
-		results := RunSweepCtx(ctx, workers, specs, func(i int, res RowResult) {
+		results := RunSweepObsCtx(ctx, workers, specs, nil, func(i int, res RowResult) {
 			observed = append(observed, res)
 			if i == 1 {
 				cancel()

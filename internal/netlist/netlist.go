@@ -44,16 +44,6 @@ func (t GateType) String() string {
 	return fmt.Sprintf("GateType(%d)", uint8(t))
 }
 
-// Inverting reports whether the gate complements the underlying AND/OR/XOR
-// (or buffer) function.
-func (t GateType) Inverting() bool {
-	switch t {
-	case Not, Nand, Nor, Xnor:
-		return true
-	}
-	return false
-}
-
 // MinFanin returns the minimum legal fanin count for the type.
 func (t GateType) MinFanin() int {
 	switch t {

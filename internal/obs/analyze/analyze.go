@@ -26,11 +26,17 @@ func workerSide(typ string) bool { return typ == "restart_start" || typ == "row_
 
 // phaseOf maps a fold-ordered event type to the phase that produced the
 // wall-clock time leading up to it. The names are the report vocabulary.
+// resp_build is emitted when response capture starts, so the gap ending
+// at it is synthesis, fault collapsing and test generation; the gap
+// ending at build_start is response capture and the full-dictionary
+// floor.
 func phaseOf(typ string) string {
 	switch typ {
 	case "resp_build":
+		return "test generation"
+	case "build_start":
 		return "response capture"
-	case "build_start", "checkpoint_load":
+	case "checkpoint_load":
 		return "setup"
 	case "restart_end":
 		return "restart search"
@@ -48,8 +54,8 @@ func phaseOf(typ string) string {
 // phaseOrder fixes the rendering and JSON order of phases: pipeline
 // order, then the catch-all.
 var phaseOrder = []string{
-	"setup", "response capture", "restart search", "procedure 2",
-	"checkpointing", "finish", "other",
+	"test generation", "response capture", "setup", "restart search",
+	"procedure 2", "checkpointing", "finish", "other",
 }
 
 // PhaseSpan is the wall-clock total attributed to one phase.

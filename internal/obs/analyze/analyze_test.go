@@ -10,7 +10,7 @@ import (
 )
 
 // buildTrace emits a synthetic but schema-faithful single-build trace:
-// response capture, three folded restarts (one of four started on
+// test generation, response capture, three folded restarts (one of four started on
 // workers is discarded speculation), two checkpoints, one Procedure 2
 // sweep, clean build_end. The clock is scripted so every phase span is
 // exact.
@@ -81,8 +81,8 @@ func TestAnalyzeTimeline(t *testing.T) {
 	}
 
 	wantPhases := map[string]int64{
-		"response capture": 100, // 0 -> 100
-		"setup":            20,  // 100 -> 120
+		"test generation":  100, // 0 -> 100
+		"response capture": 20,  // 100 -> 120
 		"restart search":   740, // 380 + 280 + 80 (worker-side starts skipped)
 		"checkpointing":    40,  // 20 + 20
 		"procedure 2":      100, // 900 -> 1000

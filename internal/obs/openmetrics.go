@@ -109,21 +109,14 @@ func sortedHistKeys(m map[string]HistSnapshot) []string {
 	return keys
 }
 
-// StartMetricsServer serves m's live snapshot at /metrics on addr in the
-// OpenMetrics text format, so long sweeps can be scraped by Prometheus
-// while they run, and returns a stop function that shuts the listener
-// down. Like the pprof listener (pprof.go) it registers on a private
-// mux, and like it the serving goroutine is read-only measurement with
-// no result to merge — the same sddlint concurrency exemption covers
-// both.
-func StartMetricsServer(addr string, m *Metrics) (stop func() error, err error) {
-	_, stop, err = StartMetricsServerAddr(addr, m)
-	return stop, err
-}
-
-// StartMetricsServerAddr is StartMetricsServer but also reports the
-// address the listener bound, so callers can pass a ":0"-style addr and
-// discover the port (tests do).
+// StartMetricsServerAddr serves m's live snapshot at /metrics on addr in
+// the OpenMetrics text format, so long sweeps can be scraped by Prometheus
+// while they run, and returns the address the listener bound (so callers
+// can pass a ":0"-style addr and discover the port) and a stop function
+// that shuts the listener down. Like the pprof listener (pprof.go) it
+// registers on a private mux, and like it the serving goroutine is
+// read-only measurement with no result to merge — the same sddlint
+// concurrency exemption covers both.
 func StartMetricsServerAddr(addr string, m *Metrics) (bound string, stop func() error, err error) {
 	//lint:ignore leakcheck ownership moves to srv.Serve; the returned srv.Close stop func closes the listener
 	ln, err := net.Listen("tcp", addr)

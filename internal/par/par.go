@@ -84,7 +84,7 @@ func stringify(v any) string {
 // what a sequential loop would report. A task panic is captured on the
 // worker and rethrown on the calling goroutine once all workers have
 // stopped. Map itself never inspects ctx: tasks own cancellation and
-// decide whether a cancelled context is an error (resp.BuildWorkersCtx)
+// decide whether a cancelled context is an error (resp.BuildObsCtx)
 // or a partial result (the restart driver uses Stream instead).
 func Map[T any](ctx context.Context, p *Pool, n int, task func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	results := make([]T, n)

@@ -21,7 +21,7 @@ func buildSmallMatrix(t *testing.T) *Matrix {
 	for i := 0; i < 96; i++ {
 		tests.Add(pattern.Random(r, view.NumInputs()))
 	}
-	return Build(view, col.Faults, tests)
+	return mustBuild(t, view, col.Faults, tests)
 }
 
 // countPairs returns the number of fault pairs with identical responses

@@ -73,7 +73,7 @@ func TestMatrixClassIndex(t *testing.T) {
 	for i := 0; i < 70; i++ { // crosses a batch boundary
 		tests.Add(pattern.Random(r, view.NumInputs()))
 	}
-	sim := Build(view, col.Faults, tests)
+	sim := mustBuild(t, view, col.Faults, tests)
 
 	const n, k, outs = 90, 6, 3
 	ff := make([]logic.BitVec, k)
@@ -119,7 +119,7 @@ func TestBuildRetainedHeap(t *testing.T) {
 	}
 
 	before := liveHeap()
-	m := Build(view, col.Faults, tests)
+	m := mustBuild(t, view, col.Faults, tests)
 	m.ClassIndex(0)
 	retained := int64(liveHeap()) - int64(before)
 

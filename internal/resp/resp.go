@@ -137,25 +137,6 @@ func (m *Matrix) PassFailSizeBits() int64 { return int64(m.K) * int64(m.N) }
 // with one baseline vector per test: k·(n+m) bits.
 func (m *Matrix) SameDiffSizeBits() int64 { return int64(m.K) * (int64(m.N) + int64(m.M)) }
 
-// Build fault-simulates every fault under every test (64 patterns per pass)
-// and returns the deduplicated response matrix.
-func Build(view *netlist.ScanView, faults []fault.Fault, tests *pattern.Set) *Matrix {
-	m, err := BuildCtx(context.Background(), view, faults, tests)
-	if err != nil {
-		panic("resp: " + err.Error()) // unreachable: background context never cancels
-	}
-	return m
-}
-
-// BuildCtx is Build under a context, checked at fault granularity within
-// every 64-pattern batch. A partial response matrix would silently corrupt
-// every dictionary built from it, so unlike the dictionary search this
-// stage does not degrade: on cancellation it returns ctx.Err() and no
-// matrix. It is BuildWorkersCtx at the default worker count.
-func BuildCtx(ctx context.Context, view *netlist.ScanView, faults []fault.Fault, tests *pattern.Set) (*Matrix, error) {
-	return BuildWorkersCtx(ctx, 0, view, faults, tests)
-}
-
 // patternRow is one test's assembled response data: the class of every
 // fault and the deduplicated class vectors.
 type patternRow struct {
@@ -163,27 +144,23 @@ type patternRow struct {
 	vecs  []logic.BitVec
 }
 
-// BuildWorkersCtx is BuildCtx with an explicit degree of parallelism
-// (0 = one worker per available CPU, 1 = fully sequential). Batches are
-// processed in order; within a batch the fault sweep is sharded across
-// per-worker Simulator forks and the per-test class tables are assembled
-// concurrently. Fault effects are pure per (batch, fault) and every
-// test's class ids are assigned by scanning effects in fault-index order,
-// so the matrix is byte-identical at every worker count (DESIGN.md §9).
-func BuildWorkersCtx(ctx context.Context, workers int, view *netlist.ScanView, faults []fault.Fault, tests *pattern.Set) (*Matrix, error) {
-	return BuildObsCtx(ctx, workers, view, faults, tests, nil)
-}
-
-// BuildObsCtx is BuildWorkersCtx with an observer. The batch loop is
-// serial, so per-batch observation is already ordered: the sim_batches
-// counter and resp_build trace events are identical at every worker
-// count, and the matrix itself is byte-identical with ob set or nil.
+// BuildObsCtx fault-simulates every fault under every test (64 patterns
+// per pass) and returns the deduplicated response matrix. Batches run in
+// order; within a batch the fault sweep is sharded across workers
+// Simulator forks (0 = one per available CPU, 1 = sequential) and the
+// per-test class tables are assembled concurrently. Class ids are
+// assigned by scanning effects in fault-index order, so the matrix is
+// byte-identical at every worker count (DESIGN.md §9) and with ob set or
+// nil, and ob's sim_batches counter and resp_build events are the same
+// at every worker count.
+//
+// A partial matrix would silently corrupt every dictionary built from
+// it, so unlike the dictionary search this stage does not degrade:
+// cancellation, checked per fault within each batch, returns ctx.Err()
+// and no matrix.
 func BuildObsCtx(ctx context.Context, workers int, view *netlist.ScanView, faults []fault.Fault, tests *pattern.Set, ob *obs.Observer) (*Matrix, error) {
 	if tests.Width != view.NumInputs() {
 		panic(fmt.Sprintf("resp: test width %d != %d scan inputs", tests.Width, view.NumInputs()))
-	}
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	m := &Matrix{N: len(faults), K: tests.Len(), M: view.NumOutputs()}
 	m.Class = make([][]int32, m.K)
@@ -358,12 +335,4 @@ func FromResponses(m int, ff []logic.BitVec, responses [][]logic.BitVec) *Matrix
 		}
 	}
 	return mat
-}
-
-// BuildForCircuit is a convenience wrapper: full-scan view plus collapsed
-// faults in one call.
-func BuildForCircuit(c *netlist.Circuit, tests *pattern.Set) (*Matrix, []fault.Fault) {
-	view := netlist.NewScanView(c)
-	col := fault.Collapse(c)
-	return Build(view, col.Faults, tests), col.Faults
 }

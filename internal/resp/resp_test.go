@@ -1,6 +1,7 @@
 package resp
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -11,6 +12,16 @@ import (
 	"sddict/internal/pattern"
 	"sddict/internal/sim"
 )
+
+// mustBuild fault-simulates faults under tests with one worker per CPU.
+func mustBuild(tb testing.TB, view *netlist.ScanView, faults []fault.Fault, tests *pattern.Set) *Matrix {
+	tb.Helper()
+	m, err := BuildObsCtx(context.Background(), 0, view, faults, tests, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
 
 // TestBuildMatchesScalarReference: every Class/Vecs entry must agree with
 // naive scalar faulty simulation.
@@ -23,7 +34,7 @@ func TestBuildMatchesScalarReference(t *testing.T) {
 	for i := 0; i < 70; i++ { // crosses a batch boundary
 		tests.Add(pattern.Random(r, view.NumInputs()))
 	}
-	m := Build(view, col.Faults, tests)
+	m := mustBuild(t, view, col.Faults, tests)
 	if m.N != len(col.Faults) || m.K != 70 || m.M != view.NumOutputs() {
 		t.Fatalf("dims N=%d K=%d M=%d", m.N, m.K, m.M)
 	}
@@ -101,6 +112,9 @@ func TestFromResponses(t *testing.T) {
 	}
 }
 
+// TestBuildForCircuit: a matrix built for a whole circuit — its full-scan
+// view and collapsed faults — has one row per fault, one column per test
+// and one output bit per scan output.
 func TestBuildForCircuit(t *testing.T) {
 	c := gen.C17()
 	r := rand.New(rand.NewSource(8))
@@ -108,7 +122,8 @@ func TestBuildForCircuit(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		tests.Add(pattern.Random(r, 5))
 	}
-	m, faults := BuildForCircuit(c, tests)
+	faults := fault.Collapse(c).Faults
+	m := mustBuild(t, netlist.NewScanView(c), faults, tests)
 	if m.N != len(faults) || m.K != 16 || m.M != 2 {
 		t.Fatalf("dims N=%d/%d K=%d M=%d", m.N, len(faults), m.K, m.M)
 	}
@@ -127,12 +142,12 @@ func TestBuildWorkersIdentical(t *testing.T) {
 	for i := 0; i < 130; i++ { // three batches, last one partial
 		tests.Add(pattern.Random(r, view.NumInputs()))
 	}
-	ref, err := BuildWorkersCtx(nil, 1, view, col.Faults, tests)
+	ref, err := BuildObsCtx(context.Background(), 1, view, col.Faults, tests, nil)
 	if err != nil {
 		t.Fatalf("workers=1: %v", err)
 	}
 	for _, workers := range []int{2, 4, 7} {
-		m, err := BuildWorkersCtx(nil, workers, view, col.Faults, tests)
+		m, err := BuildObsCtx(context.Background(), workers, view, col.Faults, tests, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
