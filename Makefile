@@ -43,7 +43,9 @@ race:
 
 # Short fuzz passes over the .bench parser, the SAT solver (verdict
 # against brute force, model against every clause), the hashed circuit
-# encoder (verdict against exhaustive simulation), the /diagnose body
+# encoder (verdict against exhaustive simulation), the miter encoder
+# (gates, variables, clauses and search against the named-netlist
+# reference, on netlists with forward references too), the /diagnose body
 # decoder (request and error against encoding/json) and the case-store
 # snapshot/journal decoder (cases and error against encoding/json);
 # CI-friendly budget.
@@ -51,6 +53,7 @@ fuzz:
 	$(GO) test -run=FuzzParse -fuzz=FuzzParse -fuzztime=30s ./internal/bench/
 	$(GO) test -run=FuzzSolveMatchesBruteForce -fuzz=FuzzSolveMatchesBruteForce -fuzztime=30s ./internal/sat/
 	$(GO) test -run=FuzzSolveOutputOneMatchesExhaustive -fuzz=FuzzSolveOutputOneMatchesExhaustive -fuzztime=30s ./internal/atpg/
+	$(GO) test -run=FuzzMiterCNFMatchesReference -fuzz=FuzzMiterCNFMatchesReference -fuzztime=30s ./internal/atpg/
 	$(GO) test -run=FuzzDecodeDiagnoseMatchesJSON -fuzz=FuzzDecodeDiagnoseMatchesJSON -fuzztime=30s ./internal/serve/
 	$(GO) test -run=FuzzDecodeCasesMatchesJSON -fuzz=FuzzDecodeCasesMatchesJSON -fuzztime=30s ./internal/casestore/
 

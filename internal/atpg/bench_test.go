@@ -9,30 +9,26 @@ import (
 )
 
 // BenchmarkSolveMiter times the SAT decision procedure alone: one op
-// solves a fixed list of 32 s298 pair miters at the diagnostic
-// generator's default conflict budget. conflicts/op is deterministic, so
-// a change to it is a change to the search, not noise.
+// builds, encodes and solves a fixed list of 32 s298 pair miters at the
+// diagnostic generator's default conflict budget, on one reused
+// miterSolver, without re-simulating the models. conflicts/op is
+// deterministic, so a change to it is a change to the search, not noise.
 func BenchmarkSolveMiter(b *testing.B) {
 	c := netlist.Combinationalize(gen.Profiles["s298"].MustGenerate(2))
 	faults := fault.Collapse(c).Faults
-	var miters []*netlist.Circuit
-	for i := 0; len(miters) < 32; i += len(faults) / 32 {
-		m, err := BuildMiter(c, faults[i], faults[(i+7)%len(faults)])
-		if err != nil {
-			b.Fatal(err)
-		}
-		miters = append(miters, m)
+	var pairs [][2]fault.Fault
+	for i := 0; len(pairs) < 32; i += len(faults) / 32 {
+		pairs = append(pairs, [2]fault.Fault{faults[i], faults[(i+7)%len(faults)]})
 	}
+	ms := newMiterSolver(c)
 	budget := DefaultDiagConfig().SATConflictBudget
 	var conflicts int64
+	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		conflicts = 0
-		for _, m := range miters {
-			_, _, k, err := solveOutputOne(m, m.POs[0], budget)
-			if err != nil {
-				b.Fatal(err)
-			}
+		for _, p := range pairs {
+			_, _, k := ms.enc.solve(&ms.m, ms.build(&p[0], &p[1]), budget)
 			conflicts += k
 		}
 	}
@@ -49,6 +45,7 @@ func BenchmarkPodemGenerate(b *testing.B) {
 			faults := fault.Collapse(c).Faults
 			e := NewEngine(c)
 			var aborts, untestable int
+			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
 				aborts, untestable = 0, 0

@@ -8,7 +8,6 @@ import (
 	"sddict/internal/fault"
 	"sddict/internal/gen"
 	"sddict/internal/netlist"
-	"sddict/internal/pattern"
 )
 
 // TestCarriedProofsMatchFreshSolves checks the SAT-proof carry rule of
@@ -17,7 +16,8 @@ import (
 // below some proofs' conflict counts. Only detection's SAT proofs are
 // carried:
 //   - every carried proof of k ≤ budget conflicts is what a fresh
-//     solveMiter at that budget returns: Untestable after exactly k;
+//     miterSolver.detect at that budget returns: Untestable after
+//     exactly k;
 //   - a proof of k > budget is not what a fresh solve returns (it runs
 //     out of budget), so screening must solve it again;
 //   - generation with the proofs returns the same test set and the same
@@ -45,15 +45,7 @@ func TestCarriedProofsMatchFreshSolves(t *testing.T) {
 					continue
 				}
 				k := p.Conflicts
-				miter, err := BuildDetectionMiter(comb, faults[i])
-				if err != nil {
-					t.Fatal(err)
-				}
-				detects := func(v pattern.Vector) bool { return VectorDetects(comb, faults[i], v) }
-				_, status, conflicts, _, err := solveMiter(miter, budget, detects)
-				if err != nil {
-					t.Fatal(err)
-				}
+				_, status, conflicts, _ := newMiterSolver(comb).detect(faults[i], budget)
 				if k <= budget {
 					carried++
 					if status != Untestable || conflicts != k {
@@ -105,8 +97,8 @@ func TestCarriedProofsMatchFreshSolves(t *testing.T) {
 // fallback at a 20-conflict budget, so it stops on some faults without
 // an answer: SATUnknown after c = 21 conflicts. At a screening budget B
 // of c−1 and of the default:
-//   - with B < c, a fresh solveMiter returns Aborted after exactly B+1
-//     conflicts, the answer screening takes the verdict for;
+//   - with B < c, a fresh miterSolver.detect returns Aborted after
+//     exactly B+1 conflicts, the answer screening takes the verdict for;
 //   - generation with every verdict carried returns the same test set
 //     and the same stats as with all but the budget-outs, except
 //     SATReused, which also counts the budget-outs screening took, none
@@ -141,15 +133,7 @@ func TestCarriedBudgetOutsMatchFreshSolves(t *testing.T) {
 					continue
 				}
 				applicable++
-				miter, err := BuildDetectionMiter(comb, faults[i])
-				if err != nil {
-					t.Fatal(err)
-				}
-				detects := func(v pattern.Vector) bool { return VectorDetects(comb, faults[i], v) }
-				_, status, conflicts, _, err := solveMiter(miter, budget, detects)
-				if err != nil {
-					t.Fatal(err)
-				}
+				_, status, conflicts, _ := newMiterSolver(comb).detect(faults[i], budget)
 				if status != Aborted || conflicts != budget+1 {
 					t.Errorf("%s budget %d: %s stopped unanswered after %d conflicts, fresh solve %v after %d",
 						name, budget, faults[i].Name(comb), v.Conflicts, status, conflicts)
@@ -189,9 +173,9 @@ func TestCarriedBudgetOutsMatchFreshSolves(t *testing.T) {
 // TestPodemProofsHoldUnderSAT certifies the PODEM proofs detection
 // carries into redundancy screening: on s208, s298, s344 and s953 at
 // seeds 1–3, with the pipeline's diagnostic (1-detection, compacted) and
-// 10-detection configurations, a fresh solveMiter on the detection miter
-// of every fault detection marked PodemUntestable, at the solver's default
-// budget, must prove it redundant, never find a test.
+// 10-detection configurations, a fresh miterSolver.detect on the
+// detection miter of every fault detection marked PodemUntestable, at the
+// solver's default budget, must prove it redundant, never find a test.
 func TestPodemProofsHoldUnderSAT(t *testing.T) {
 	checked := 0
 	for _, name := range []string{"s208", "s298", "s344", "s953"} {
@@ -207,15 +191,7 @@ func TestPodemProofsHoldUnderSAT(t *testing.T) {
 					if p.Kind != PodemUntestable {
 						continue
 					}
-					miter, err := BuildDetectionMiter(comb, faults[i])
-					if err != nil {
-						t.Fatal(err)
-					}
-					detects := func(v pattern.Vector) bool { return VectorDetects(comb, faults[i], v) }
-					_, status, conflicts, _, err := solveMiter(miter, 0, detects)
-					if err != nil {
-						t.Fatal(err)
-					}
+					_, status, conflicts, _ := newMiterSolver(comb).detect(faults[i], 0)
 					if status != Untestable {
 						t.Errorf("%s seed %d n=%d: PODEM proved %s redundant, a fresh solve returns %v after %d conflicts",
 							name, seed, n, faults[i].Name(comb), status, conflicts)

@@ -289,7 +289,9 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 	// workload wholesale. A SAT answer instead contributes a fresh
 	// detecting (hence group-splitting) test.
 	redundant := make([]bool, len(faults))
+	var ms *miterSolver
 	if cfg.SATConflictBudget > 0 {
+		ms = newMiterSolver(c)
 		fresh := pattern.NewSet(tests.Width)
 		for i := range faults {
 			if ctx.Err() != nil {
@@ -322,16 +324,8 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 					continue
 				}
 			}
-			miter, err := BuildDetectionMiter(c, faults[i])
-			if err != nil {
-				continue
-			}
 			stats.SATCalls++
-			detects := func(v pattern.Vector) bool { return VectorDetects(c, faults[i], v) }
-			v, status, conflicts, mismatch, err := solveMiter(miter, cfg.SATConflictBudget, detects)
-			if err != nil {
-				continue
-			}
+			v, status, conflicts, mismatch := ms.detect(faults[i], cfg.SATConflictBudget)
 			stats.SATConflicts += conflicts
 			if mismatch {
 				stats.ModelMismatches++
@@ -396,19 +390,18 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 					stats.MiterCalls++
 					cube, status := pattern.Vector(nil), Aborted
 					if satOpen() {
-						if v, sstatus, conflicts, mismatch, err := decidePair(c, faults[a], faults[b], cfg.SATConflictBudget); err == nil {
-							stats.SATCalls++
-							stats.SATConflicts += conflicts
-							if mismatch {
-								stats.ModelMismatches++
-							}
-							if sstatus == Aborted {
-								satUseless++
-							} else {
-								satUseless = 0
-							}
-							cube, status = v, sstatus
+						v, sstatus, conflicts, mismatch := ms.distinguish(faults[a], faults[b], cfg.SATConflictBudget)
+						stats.SATCalls++
+						stats.SATConflicts += conflicts
+						if mismatch {
+							stats.ModelMismatches++
 						}
+						if sstatus == Aborted {
+							satUseless++
+						} else {
+							satUseless = 0
+						}
+						cube, status = v, sstatus
 					}
 					switch status {
 					case Success:

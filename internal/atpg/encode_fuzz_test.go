@@ -7,6 +7,7 @@ import (
 
 	"sddict/internal/fault"
 	"sddict/internal/netlist"
+	"sddict/internal/pattern"
 )
 
 // gateSpec is one logic gate of a generated netlist.
@@ -88,10 +89,45 @@ func randomNetlist(r *rand.Rand, nIn, nGates int) *netlist.Circuit {
 	return b.MustBuild()
 }
 
+// shuffled returns c with its logic gates renumbered in a random order
+// after the sources, so that, as in .bench files, many gates read a line
+// declared after them.
+func shuffled(r *rand.Rand, c *netlist.Circuit) *netlist.Circuit {
+	b := netlist.NewBuilder(c.Name)
+	id := make([]int32, len(c.Gates))
+	var logic []int
+	for g := range c.Gates {
+		switch t := c.Gates[g].Type; {
+		case t == netlist.Input:
+			id[g] = b.Input(c.Gates[g].Name)
+		case c.IsSource(int32(g)):
+			id[g] = b.Gate(t, c.Gates[g].Name)
+		default:
+			logic = append(logic, g)
+		}
+	}
+	r.Shuffle(len(logic), func(i, j int) { logic[i], logic[j] = logic[j], logic[i] })
+	for _, g := range logic {
+		id[g] = b.Gate(c.Gates[g].Type, c.Gates[g].Name)
+	}
+	for _, g := range logic {
+		fanin := make([]int32, len(c.Gates[g].Fanin))
+		for pin, d := range c.Gates[g].Fanin {
+			fanin[pin] = id[d]
+		}
+		b.SetFanin(id[g], fanin...)
+	}
+	for _, o := range c.POs {
+		b.Output(id[o])
+	}
+	return b.MustBuild()
+}
+
 // FuzzSolveOutputOneMatchesExhaustive: on random netlists of at most ten
-// inputs, the hashed encoder's verdict for every logic gate, and for a
-// detection and a pair miter of the netlist's faults, matches exhaustive
-// simulation, and every Sat model drives its target to 1 in simulation.
+// inputs, the production encoder's verdict for every logic gate, and the
+// miter solver's for a detection and a pair miter of the netlist's
+// faults, matches exhaustive simulation, and every Sat model drives its
+// target to 1 in simulation.
 func FuzzSolveOutputOneMatchesExhaustive(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		f.Add(seed, uint8(seed), uint8(4*seed))
@@ -100,11 +136,10 @@ func FuzzSolveOutputOneMatchesExhaustive(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, nIn, nGates uint8) {
 		r := rand.New(rand.NewSource(seed))
 		c := randomNetlist(r, 1+int(nIn)%10, 1+int(nGates)%60)
-		check := func(name string, m *netlist.Circuit, target int32) {
-			vec, status, _, err := solveOutputOne(m, target, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
+		// check compares a verdict on target of m with exhaustive
+		// simulation; m is the named miter the production miter was
+		// built like, or c itself.
+		check := func(name string, m *netlist.Circuit, target int32, vec pattern.Vector, status Status) {
 			want, ok := exhaustiveOne(m, target)
 			if !ok {
 				t.Fatalf("%s: cone too wide for the oracle", name)
@@ -120,7 +155,11 @@ func FuzzSolveOutputOneMatchesExhaustive(f *testing.F) {
 		}
 		for g := range c.Gates {
 			if !c.IsSource(int32(g)) {
-				check(fmt.Sprintf("gate %s", c.Gates[g].Name), c, int32(g))
+				vec, status, _, err := solveOutputOne(c, int32(g), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("gate %s", c.Gates[g].Name), c, int32(g), vec, status)
 			}
 		}
 		faults := fault.Collapse(c).Faults
@@ -128,14 +167,51 @@ func FuzzSolveOutputOneMatchesExhaustive(f *testing.F) {
 			return
 		}
 		fa, fb := faults[r.Intn(len(faults))], faults[r.Intn(len(faults))]
-		m, err := BuildDetectionMiter(c, fa)
-		if err != nil {
-			t.Fatal(err)
+		ms := newMiterSolver(c)
+		for _, pair := range []bool{false, true} {
+			var m *netlist.Circuit
+			var err error
+			var out int32
+			if pair {
+				m, err = BuildMiter(c, fa, fb)
+				out = ms.build(&fa, &fb)
+			} else {
+				m, err = BuildDetectionMiter(c, fa)
+				out = ms.build(nil, &fa)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			vec, status, _ := ms.enc.solve(&ms.m, out, 0)
+			check(m.Name, m, m.POs[0], vec, status)
 		}
-		check(m.Name, m, m.POs[0])
-		if m, err = BuildMiter(c, fa, fb); err != nil {
-			t.Fatal(err)
+	})
+}
+
+// FuzzMiterCNFMatchesReference: on random netlists, half of them with
+// their gates shuffled into forward references, for a random fault pair
+// and a random fault's detection miter, the production miterSolver and
+// coneEncoder build the same gates, variables and clauses as the
+// named-netlist reference and solve to the same verdict, conflict count
+// and model (encoderIdentity).
+func FuzzMiterCNFMatchesReference(f *testing.F) {
+	for seed := int64(1); seed <= 8; seed++ {
+		f.Add(seed, uint8(seed), uint8(6*seed))
+	}
+	f.Add(int64(99), uint8(20), uint8(120))
+	f.Fuzz(func(t *testing.T, seed int64, nIn, nGates uint8) {
+		r := rand.New(rand.NewSource(seed))
+		c := randomNetlist(r, 1+int(nIn)%24, 1+int(nGates)%120)
+		if r.Intn(2) == 0 {
+			c = shuffled(r, c)
 		}
-		check(m.Name, m, m.POs[0])
+		faults := fault.Collapse(c).Faults
+		if len(faults) < 2 {
+			return
+		}
+		ms := newMiterSolver(c)
+		fa, fb := faults[r.Intn(len(faults))], faults[r.Intn(len(faults))]
+		encoderIdentity(t, ms, &fa, fb, 2000)
+		encoderIdentity(t, ms, nil, faults[r.Intn(len(faults))], 2000)
 	})
 }

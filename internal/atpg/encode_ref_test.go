@@ -3,8 +3,11 @@ package atpg
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
+	"sddict/internal/bench"
 	"sddict/internal/fault"
 	"sddict/internal/gen"
 	"sddict/internal/logic"
@@ -370,57 +373,271 @@ func fanoutCone(c *netlist.Circuit, f fault.Fault) []bool {
 	return cone
 }
 
+// copyGates returns the miter gates miterSolver.build gives c's gate i in
+// copy A and copy B of a miter whose copy B has a fault: each copy holds,
+// after the inputs and its stuck-at constant when it has a fault, one
+// gate per non-input gate of c in gate order.
+func copyGates(c *netlist.Circuit, fa *fault.Fault, i int) (a, b int32) {
+	gates := int32(0) // non-input gates of c
+	k := int32(-1)    // i's index among them
+	for g := range c.Gates {
+		if c.Gates[g].Type != netlist.Input {
+			if g == i {
+				k = gates
+			}
+			gates++
+		}
+	}
+	a = int32(len(c.PIs)) + k
+	if fa != nil {
+		a++
+	}
+	return a, a + gates + 1
+}
+
 // TestHashingMergesOutsideFaultCones: in every detection miter of s27 and
-// s208 and every c17 pair miter, each gate of copy b that lies outside the
-// faults' fanout cones shares its variable with its twin in copy a,
-// wherever both are encoded.
+// s208 and every c17 pair miter, as the production miterSolver builds and
+// encodes them, each gate of copy B that lies outside the faults' fanout
+// cones shares its variable with its twin in copy A, wherever both are
+// encoded.
 func TestHashingMergesOutsideFaultCones(t *testing.T) {
 	merged := 0
-	check := func(c *netlist.Circuit, fa *fault.Fault, fb fault.Fault) {
-		var m *netlist.Circuit
-		var err error
+	check := func(ms *miterSolver, fa *fault.Fault, fb fault.Fault) {
+		c := ms.c
 		cone := fanoutCone(c, fb)
-		if fa == nil {
-			m, err = BuildDetectionMiter(c, fb)
-		} else {
-			m, err = BuildMiter(c, *fa, fb)
+		if fa != nil {
 			for g, in := range fanoutCone(c, *fa) {
 				cone[g] = cone[g] || in
 			}
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		varOf := encodeCone(sat.NewSolver(0), m, m.POs[0])
+		ms.enc.encode(&ms.m, ms.build(fa, &fb))
+		varOf := ms.enc.varOf
 		for g := range c.Gates {
 			if cone[g] || c.Gates[g].Type == netlist.Input {
 				continue
 			}
-			a, b := m.GateByName("a_"+c.Gates[g].Name), m.GateByName("b_"+c.Gates[g].Name)
+			a, b := copyGates(c, fa, g)
+			if ms.m.typ[a] != c.Gates[g].Type || ms.m.typ[b] != c.Gates[g].Type {
+				t.Fatalf("gate %s: copies %d and %d are %v and %v", c.Gates[g].Name, a, b, ms.m.typ[a], ms.m.typ[b])
+			}
 			if varOf[a] < 0 || varOf[b] < 0 {
 				continue // a fault cut this copy's paths to the outputs
 			}
 			if varOf[b] != varOf[a] {
-				t.Fatalf("%s: gate %s outside the fault cones has variable %d in copy b, %d in copy a",
-					m.Name, c.Gates[g].Name, varOf[b], varOf[a])
+				t.Fatalf("%s/%s: gate %s outside the fault cones has variable %d in copy B, %d in copy A",
+					c.Name, fb.Name(c), c.Gates[g].Name, varOf[b], varOf[a])
 			}
 			merged++
 		}
 	}
 	for _, name := range []string{"s27", "s208"} {
 		c := netlist.Combinationalize(gen.Profiles[name].MustGenerate(2))
+		ms := newMiterSolver(c)
 		for _, f := range fault.Collapse(c).Faults {
-			check(c, nil, f)
+			check(ms, nil, f)
 		}
 	}
 	c17 := gen.C17()
+	ms := newMiterSolver(c17)
 	faults := fault.Collapse(c17).Faults
 	for i := range faults {
 		for j := i + 1; j < len(faults); j++ {
-			check(c17, &faults[i], faults[j])
+			check(ms, &faults[i], faults[j])
 		}
 	}
 	if merged == 0 {
 		t.Fatal("no gate merged; the check exercised nothing")
+	}
+}
+
+// encoderIdentity builds the miter of fa and fb (fa nil: the detection
+// miter of fb) both ways, the production miterSolver and coneEncoder and
+// the reference BuildMiter/BuildDetectionMiter and encodeCone, and
+// requires the same gates (types and fanins, id for id), the same
+// variable of every gate, the same variable count and the same clause
+// sequence; then the same Solve result, conflict count and model at the
+// given budget. It returns the verdict.
+func encoderIdentity(t testing.TB, ms *miterSolver, fa *fault.Fault, fb fault.Fault, budget int64) Status {
+	t.Helper()
+	c := ms.c
+	var m *netlist.Circuit
+	var err error
+	if fa == nil {
+		m, err = BuildDetectionMiter(c, fb)
+	} else {
+		m, err = BuildMiter(c, *fa, fb)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := ms.build(fa, &fb)
+	n := &ms.m
+	if len(n.typ) != len(m.Gates) || out != m.POs[0] || !slices.Equal(n.inputs, m.PIs) {
+		t.Fatalf("%s: %d gates, output %d, inputs %v; reference %d, %d, %v", m.Name, len(n.typ), out, n.inputs, len(m.Gates), m.POs[0], m.PIs)
+	}
+	for g := range m.Gates {
+		if n.typ[g] != m.Gates[g].Type || !slices.Equal(n.faninOf(int32(g)), m.Gates[g].Fanin) {
+			t.Fatalf("%s: gate %d is %v%v, reference %s %v%v", m.Name, g, n.typ[g], n.faninOf(int32(g)),
+				m.Gates[g].Name, m.Gates[g].Type, m.Gates[g].Fanin)
+		}
+	}
+	e := &ms.enc
+	e.encode(n, out)
+	var rec cnfRecorder
+	varOf := encodeCone(&rec, m, m.POs[0])
+	for g, v := range varOf {
+		if int(e.varOf[g]) != v {
+			t.Fatalf("%s: gate %s has variable %d, reference %d", m.Name, m.Gates[g].Name, e.varOf[g], v)
+		}
+	}
+	if e.vars != rec.vars || len(e.ends) != len(rec.clauses) {
+		t.Fatalf("%s: %d variables and %d clauses, reference %d and %d", m.Name, e.vars, len(e.ends), rec.vars, len(rec.clauses))
+	}
+	start := int32(0)
+	for k, end := range e.ends {
+		if !slices.Equal(e.lits[start:end], rec.clauses[k]) {
+			t.Fatalf("%s: clause %d is %v, reference %v", m.Name, k, e.lits[start:end], rec.clauses[k])
+		}
+		start = end
+	}
+	vec, status, conflicts := e.solve(n, out, budget)
+	refVec, refStatus, refConflicts := refSolveOutputOne(m, m.POs[0], budget)
+	if status != refStatus || conflicts != refConflicts || !slices.Equal(vec, refVec) {
+		t.Fatalf("%s: %v after %d conflicts, model %s; reference %v after %d, model %s",
+			m.Name, status, conflicts, vec, refStatus, refConflicts, refVec)
+	}
+	return status
+}
+
+// TestEncoderMatchesNetlistEncoder pins the production miter encoding to
+// the named-netlist reference (encoderIdentity): the detection miter of
+// every collapsed fault of c17 and s208, every c17 pair, and 300 seeded
+// random pairs and 300 seeded random detection miters each of s298, s344
+// and s953.
+func TestEncoderMatchesNetlistEncoder(t *testing.T) {
+	budget := DefaultDiagConfig().SATConflictBudget
+	verdicts := map[Status]int{}
+	c17 := gen.C17()
+	for _, c := range []*netlist.Circuit{c17, netlist.Combinationalize(gen.Profiles["s208"].MustGenerate(2))} {
+		ms := newMiterSolver(c)
+		for _, f := range fault.Collapse(c).Faults {
+			verdicts[encoderIdentity(t, ms, nil, f, budget)]++
+		}
+	}
+	ms := newMiterSolver(c17)
+	faults := fault.Collapse(c17).Faults
+	for i := range faults {
+		for j := i + 1; j < len(faults); j++ {
+			verdicts[encoderIdentity(t, ms, &faults[i], faults[j], budget)]++
+		}
+	}
+	r := rand.New(rand.NewSource(27))
+	for _, name := range []string{"s298", "s344", "s953"} {
+		c := netlist.Combinationalize(gen.Profiles[name].MustGenerate(2))
+		ms := newMiterSolver(c)
+		faults := fault.Collapse(c).Faults
+		for k := 0; k < 300; k++ {
+			fa, fb := faults[r.Intn(len(faults))], faults[r.Intn(len(faults))]
+			verdicts[encoderIdentity(t, ms, &fa, fb, budget)]++
+			verdicts[encoderIdentity(t, ms, nil, faults[r.Intn(len(faults))], budget)]++
+		}
+	}
+	if verdicts[Success] == 0 || verdicts[Untestable] == 0 {
+		t.Fatalf("verdicts %v: the comparison covered only one kind", verdicts)
+	}
+	t.Logf("verdicts: %d sat, %d unsat, %d budget-out", verdicts[Success], verdicts[Untestable], verdicts[Aborted])
+}
+
+// s27Bench is the ISCAS'89 s27 netlist as its .bench file gives it: most
+// gates read a line declared further down.
+const s27Bench = `INPUT(G0)
+INPUT(G1)
+INPUT(G2)
+INPUT(G3)
+OUTPUT(G17)
+G5 = DFF(G10)
+G6 = DFF(G11)
+G7 = DFF(G13)
+G14 = NOT(G0)
+G17 = NOT(G11)
+G8 = AND(G14, G6)
+G15 = OR(G12, G8)
+G16 = OR(G3, G8)
+G9 = NAND(G16, G15)
+G10 = NOR(G14, G11)
+G11 = NOR(G5, G9)
+G12 = NOR(G1, G7)
+G13 = NOR(G2, G12)
+`
+
+// TestMiterWiresForwardReferences: on s27 parsed from its .bench text,
+// where gates read lines declared after them, every detection and pair
+// verdict of the miter solver matches exhaustive simulation of the
+// circuit over all 2^7 scan inputs, and every model re-simulates.
+func TestMiterWiresForwardReferences(t *testing.T) {
+	seq, err := bench.Parse(strings.NewReader(s27Bench), "s27")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := netlist.Combinationalize(seq)
+	view := netlist.NewScanView(c)
+	faults := fault.Collapse(c).Faults
+	w := view.NumInputs()
+	resp := make([][]string, len(faults)+1) // per fault, and fault-free last: response per vector
+	for v := 0; v < 1<<w; v++ {
+		vec := make(pattern.Vector, w)
+		for i := range vec {
+			vec[i] = logic.FromBit(uint64(v >> i & 1))
+		}
+		for i, f := range faults {
+			resp[i] = append(resp[i], sim.RefFaultOutputs(view, f, vec).String(view.NumOutputs()))
+		}
+		resp[len(faults)] = append(resp[len(faults)], goodOutputs(view, vec).String(view.NumOutputs()))
+	}
+	differ := func(a, b []string) bool { return !slices.Equal(a, b) }
+	ms := newMiterSolver(c)
+	check := func(name string, want bool, status Status, mismatch bool) {
+		t.Helper()
+		if mismatch || status == Aborted || (status == Success) != want {
+			t.Fatalf("%s: %v (mismatch %v), exhaustive simulation says distinguishable=%v", name, status, mismatch, want)
+		}
+	}
+	for i, f := range faults {
+		_, status, _, mismatch := ms.detect(f, 0)
+		check("detect "+f.Name(c), differ(resp[i], resp[len(faults)]), status, mismatch)
+		for j := i + 1; j < len(faults); j++ {
+			_, status, _, mismatch := ms.distinguish(f, faults[j], 0)
+			check("pair "+f.Name(c)+"/"+faults[j].Name(c), differ(resp[i], resp[j]), status, mismatch)
+		}
+	}
+}
+
+// TestDetectAllocs bounds the allocations of one detection-miter solve
+// on a warmed-up miterSolver, here of a redundant s298 fault that takes
+// a few hundred conflicts: the miter and the CNF are built in reused
+// storage, so what remains is the solver's per-variable arrays, its
+// clause and literal slabs, a few watch-list chunks and the growth of its
+// decision stack and learned-clause scratch. One allocation per clause or
+// per watch list, as the solver made before, is hundreds.
+func TestDetectAllocs(t *testing.T) {
+	c := netlist.Combinationalize(gen.Profiles["s298"].MustGenerate(2))
+	faults := fault.Collapse(c).Faults
+	ms := newMiterSolver(c)
+	budget := DefaultConfig(1).SATConflictBudget
+	var redundant fault.Fault
+	found := false
+	for _, f := range faults {
+		if _, status, _, _ := ms.detect(f, budget); status == Untestable && !found {
+			redundant, found = f, true
+		}
+	}
+	if !found {
+		t.Fatal("s298 has no redundant fault")
+	}
+	const bound = 40
+	if got := testing.AllocsPerRun(20, func() { ms.detect(redundant, budget) }); got > bound {
+		t.Errorf("detect(%s) allocates %v times, want at most %d", redundant.Name(c), got, bound)
+	} else {
+		t.Logf("detect(%s) allocates %v times", redundant.Name(c), got)
 	}
 }

@@ -208,6 +208,7 @@ func GenerateDetectionCtx(ctx context.Context, c *netlist.Circuit, faults []faul
 	eng.BacktrackLimit = cfg.BacktrackLimit
 	eng.Randomize(r)
 	eng.SetContext(ctx)
+	ms := newMiterSolver(c)
 	abortTries := make([]int, len(faults))
 	seen := make(map[string]bool, tests.Len())
 	for _, v := range tests.Vecs {
@@ -243,22 +244,18 @@ func GenerateDetectionCtx(ctx context.Context, c *netlist.Circuit, faults []faul
 			if status == Aborted && abortTries[fi] >= 1 && cfg.SATConflictBudget > 0 {
 				// Second structural abort: escalate to the complete SAT
 				// procedure on the detection miter.
-				if miter, merr := BuildDetectionMiter(c, faults[fi]); merr == nil {
-					detects := func(v pattern.Vector) bool { return VectorDetects(c, faults[fi], v) }
-					if v, sstatus, conflicts, mismatch, serr := solveMiter(miter, cfg.SATConflictBudget, detects); serr == nil {
-						cube, status = v, sstatus
-						stats.SATCalls++
-						stats.SATConflicts += conflicts
-						if mismatch {
-							stats.ModelMismatches++
-						}
-						switch {
-						case sstatus == Untestable:
-							stats.Verdicts[fi] = Verdict{Kind: SATUntestable, Conflicts: conflicts}
-						case sstatus == Aborted && !mismatch:
-							stats.Verdicts[fi] = Verdict{Kind: SATUnknown, Conflicts: conflicts}
-						}
-					}
+				v, sstatus, conflicts, mismatch := ms.detect(faults[fi], cfg.SATConflictBudget)
+				cube, status = v, sstatus
+				stats.SATCalls++
+				stats.SATConflicts += conflicts
+				if mismatch {
+					stats.ModelMismatches++
+				}
+				switch {
+				case sstatus == Untestable:
+					stats.Verdicts[fi] = Verdict{Kind: SATUntestable, Conflicts: conflicts}
+				case sstatus == Aborted && !mismatch:
+					stats.Verdicts[fi] = Verdict{Kind: SATUnknown, Conflicts: conflicts}
 				}
 			}
 			switch status {

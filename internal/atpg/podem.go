@@ -84,10 +84,19 @@ type Engine struct {
 	// cone is the target's fanout cone (its site gate included) in
 	// ascending gate order, set by start. Only gates in it can carry a
 	// fault effect, so dFrontier walks it instead of the whole circuit.
-	cone  []int32
-	isPO  []bool
-	scoap *netlist.SCOAP
-	ctx   context.Context // optional; cancels Generate with Aborted
+	cone []int32
+	// The implication region, set by start: the gates g with
+	// region[g] == regionID, the transitive fanin of the cone. The search
+	// reads no value outside it, so settle implies only its gates (see
+	// start).
+	region   []uint32
+	regionID uint32
+	isPO     []bool
+	scoap    *netlist.SCOAP
+	ctx      context.Context // optional; cancels Generate with Aborted
+
+	// backtracks counts the flips of the last Generate.
+	backtracks int
 
 	// scratch, reused across calls
 	visited  []uint32
@@ -131,6 +140,7 @@ func NewEngine(c *netlist.Circuit) *Engine {
 		slot:           make([]int32, len(c.Gates)),
 		bucket:         make([][]int32, c.MaxLevel()+1),
 		queued:         make([]bool, len(c.Gates)),
+		region:         make([]uint32, len(c.Gates)),
 		visited:        make([]uint32, len(c.Gates)),
 	}
 	e.lo, e.hi = int32(len(e.bucket)), -1
@@ -201,7 +211,7 @@ func (e *Engine) Generate(f fault.Fault) (pattern.Vector, Status) {
 	e.start(f)
 
 	e.stack = e.stack[:0]
-	backtracks := 0
+	e.backtracks = 0
 
 	for {
 		if e.ctx != nil && e.ctx.Err() != nil {
@@ -236,8 +246,8 @@ func (e *Engine) Generate(f fault.Fault) (pattern.Vector, Status) {
 			}
 			top := &e.stack[len(e.stack)-1]
 			if !top.flipped {
-				backtracks++
-				if backtracks > e.BacktrackLimit {
+				e.backtracks++
+				if e.backtracks > e.BacktrackLimit {
 					return nil, Aborted
 				}
 				top.flipped = true
@@ -252,22 +262,27 @@ func (e *Engine) Generate(f fault.Fault) (pattern.Vector, Status) {
 	}
 }
 
-// start targets fault f with every input X. The fault-free all-X state is
-// copied in and only the fault site is re-evaluated: every other
-// difference from it lies in the site's fanout cone, which settle reaches.
-// An event still pending is settled against this fresh state, which
-// re-evaluates it harmlessly. start then empties the trail, so the search
-// undoes nothing below its first decision, and records the site's fanout
-// cone for dFrontier.
+// start targets fault f with every input X. It records the site's fanout
+// cone for dFrontier and marks the implication region: the cone and its
+// transitive fanin. Every value the search reads lies in the region:
+// detected looks for a D, which only the cone can carry; objective,
+// dFrontier and xPathExists read cone gates, the fault site's driver and
+// the fanins of cone gates; backtrace walks fanins from those, so the
+// inputs it decides are region gates too. The region is closed under
+// fanin, so settle computes each region gate from region gates alone,
+// and schedule passes over every other gate: those keep the fault-free
+// all-X value start copies in, and the search never reads them.
+//
+// Of the fresh state, only the fault site is then re-evaluated: every
+// other difference from it lies in the site's fanout cone, which settle
+// reaches. No event is pending, as Generate settles every input it sets
+// before it returns. start finally empties the trail, so the search
+// undoes nothing below its first decision.
 func (e *Engine) start(f fault.Fault) {
 	e.target = f
 	for i := range e.piVal {
 		e.piVal[i] = logic.X
 	}
-	copy(e.val, e.freeVal)
-	e.schedule(f.Gate)
-	e.settle()
-	e.trail = e.trail[:0]
 
 	e.visitID++
 	e.cone = append(e.cone[:0], f.Gate)
@@ -281,7 +296,32 @@ func (e *Engine) start(f fault.Fault) {
 		}
 	}
 	slices.Sort(e.cone)
+
+	e.regionID++
+	walk := append(e.xstack[:0], e.cone...)
+	for _, g := range walk {
+		e.region[g] = e.regionID
+	}
+	for len(walk) > 0 {
+		g := walk[len(walk)-1]
+		walk = walk[:len(walk)-1]
+		for _, d := range e.faninOf(g) {
+			if e.region[d] != e.regionID {
+				e.region[d] = e.regionID
+				walk = append(walk, d)
+			}
+		}
+	}
+	e.xstack = walk
+
+	copy(e.val, e.freeVal)
+	e.schedule(f.Gate)
+	e.settle()
+	e.trail = e.trail[:0]
 }
+
+// inRegion reports whether gate g lies in the current implication region.
+func (e *Engine) inRegion(g int32) bool { return e.region[g] == e.regionID }
 
 // setPI assigns a primary input and schedules it for settle.
 func (e *Engine) setPI(g int32, v logic.Value) {
@@ -289,9 +329,10 @@ func (e *Engine) setPI(g int32, v logic.Value) {
 	e.schedule(g)
 }
 
-// schedule queues gate g for re-evaluation by settle.
+// schedule queues gate g for re-evaluation by settle, if it lies in the
+// implication region.
 func (e *Engine) schedule(g int32) {
-	if e.queued[g] {
+	if e.queued[g] || e.region[g] != e.regionID {
 		return
 	}
 	e.queued[g] = true
@@ -301,11 +342,11 @@ func (e *Engine) schedule(g int32) {
 }
 
 // settle re-evaluates the scheduled gates level by level, scheduling the
-// fanout of every gate whose value changes and logging its old value on
-// the trail. A gate's fanins all sit at lower levels, so each gate is
-// evaluated at most once, after its inputs are final. Five-valued values
-// are a pure function of the input assignment, so the result equals a
-// full imply.
+// region fanout of every gate whose value changes and logging its old
+// value on the trail. A gate's fanins all sit at lower levels, so each
+// gate is evaluated at most once, after its inputs are final. Five-valued
+// values are a pure function of the input assignment, so every region
+// gate ends with the value a full imply gives it.
 func (e *Engine) settle() {
 	for l := e.lo; l <= e.hi; l++ {
 		for _, g := range e.bucket[l] {

@@ -177,26 +177,38 @@ func TestRandomizedGenerationDiversity(t *testing.T) {
 	}
 }
 
+// regionMismatch checks the implication invariant of got, the engine's
+// values, against full, a full imply of the same assignment: every gate
+// of the implication region holds its full-imply value, and every other
+// gate the fault-free all-X value start copied in. It returns the first
+// gate that breaks it, or -1.
+func regionMismatch(e *Engine, got, full []logic.V5) int {
+	for g := range got {
+		want := e.freeVal[g]
+		if e.inRegion(int32(g)) {
+			want = full[g]
+		}
+		if got[g] != want {
+			return g
+		}
+	}
+	return -1
+}
+
 // TestImplyEventsMatchesFull drives the event-driven implication through
 // random input set/flip/unset steps, some batched before one settle the
 // way a backtrack unwinds several decisions, and checks every gate value
-// against a full imply after each settle. It covers stem, branch and
+// against the implication invariant after each settle: a region gate
+// equals a full imply, any other gate holds its freeVal. Inputs are drawn
+// from the whole circuit, so some steps set inputs outside the region,
+// which settle must leave alone. It covers stem, branch and
 // input faults, and miters: their constant lines make the fault-free
 // all-X state non-trivial, and with both faults on one output (stuck-at
 // 0 in one copy, 1 in the other) the miter output is already 1 before
 // any decision.
 func TestImplyEventsMatchesFull(t *testing.T) {
 	s208 := netlist.Combinationalize(gen.Profiles["s208"].MustGenerate(2))
-	sfaults := fault.Collapse(s208).Faults
-	pairMiter, err := BuildMiter(s208, sfaults[3], sfaults[len(sfaults)/2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	po := s208.POs[0]
-	constMiter, err := BuildMiter(s208, fault.Fault{Gate: po, Pin: fault.StemPin, Stuck: 0}, fault.Fault{Gate: po, Pin: fault.StemPin, Stuck: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pairMiter, constMiter := implyTestMiters(t, s208)
 	circuits := []*netlist.Circuit{
 		gen.C17(),
 		s208,
@@ -215,12 +227,11 @@ func TestImplyEventsMatchesFull(t *testing.T) {
 			t.Helper()
 			got := append([]logic.V5(nil), e.val...)
 			e.imply()
-			for g := range got {
-				if got[g] != e.val[g] {
-					t.Fatalf("%s, fault %s, %s: gate %s = %v, full imply %v",
-						c.Name, f.Name(c), step, c.Gates[g].Name, got[g], e.val[g])
-				}
+			if g := regionMismatch(e, got, e.val); g >= 0 {
+				t.Fatalf("%s, fault %s, %s: gate %s (in region: %v) = %v, full imply %v, freeVal %v",
+					c.Name, f.Name(c), step, c.Gates[g].Name, e.inRegion(int32(g)), got[g], e.val[g], e.freeVal[g])
 			}
+			copy(e.val, got)
 		}
 		for _, f := range faults {
 			e.start(f)
@@ -241,6 +252,89 @@ func TestImplyEventsMatchesFull(t *testing.T) {
 				check(fmt.Sprintf("step %d", step), f)
 			}
 		}
+	}
+}
+
+// implyTestMiters returns the two miters TestImplyEventsMatchesFull and
+// TestRegionImplicationMatchesFull run PODEM on: a pair miter of two s208
+// faults, and the miter of an s208 output stuck at 0 in one copy and at 1
+// in the other, whose output is 1 before any decision.
+func implyTestMiters(t *testing.T, s208 *netlist.Circuit) (pairMiter, constMiter *netlist.Circuit) {
+	t.Helper()
+	sfaults := fault.Collapse(s208).Faults
+	pairMiter, err := BuildMiter(s208, sfaults[3], sfaults[len(sfaults)/2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	po := s208.POs[0]
+	constMiter, err = BuildMiter(s208, fault.Fault{Gate: po, Pin: fault.StemPin, Stuck: 0}, fault.Fault{Gate: po, Pin: fault.StemPin, Stuck: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pairMiter, constMiter
+}
+
+// TestRegionImplicationMatchesFull runs PODEM at the detection backtrack
+// limit over every collapsed fault of s208, s298, s344 and s953 and of the
+// two implyTestMiters, deterministic and randomized, on two engines: one
+// as Generate runs, implying only the region, and one that re-implies
+// every gate before each step of the search, through the per-decision
+// context probe, so every value it reads is a full imply's. The runs must
+// agree fault by fault on the status, the cube, the backtrack count and
+// the next draw of the random source: the search reads no gate that
+// bounded implication leaves at its freeVal.
+func TestRegionImplicationMatchesFull(t *testing.T) {
+	s208 := netlist.Combinationalize(gen.Profiles["s208"].MustGenerate(2))
+	pairMiter, constMiter := implyTestMiters(t, s208)
+	circuits := []*netlist.Circuit{s208, pairMiter, constMiter}
+	for _, name := range []string{"s298", "s344", "s953"} {
+		circuits = append(circuits, netlist.Combinationalize(gen.Profiles[name].MustGenerate(2)))
+	}
+	limit := DefaultConfig(1).BacktrackLimit
+	staleAll := 0
+	for _, c := range circuits {
+		for _, randomized := range []bool{false, true} {
+			bounded, full := NewEngine(c), NewEngine(c)
+			bounded.BacktrackLimit, full.BacktrackLimit = limit, limit
+			var rb, rf *rand.Rand
+			if randomized {
+				rb, rf = rand.New(rand.NewSource(1)), rand.New(rand.NewSource(1))
+				bounded.Randomize(rb)
+				full.Randomize(rf)
+			}
+			stale, backtracks := 0, 0
+			full.SetContext(frontierProbe{context.Background(), func() {
+				// Count the steps where a full imply moves a gate off the
+				// value bounded implication left it: a stale read would
+				// show there. A miter's region is every gate, since each
+				// reaches its one output.
+				before := slices.Clone(full.val)
+				full.imply()
+				if !slices.Equal(before, full.val) {
+					stale++
+				}
+			}})
+			for _, f := range fault.Collapse(c).Faults {
+				cb, sb := bounded.Generate(f)
+				cf, sf := full.Generate(f)
+				if sb != sf || !slices.Equal(cb, cf) || bounded.backtracks != full.backtracks {
+					t.Fatalf("%s randomized=%v, fault %s: bounded %v %s after %d backtracks, full %v %s after %d",
+						c.Name, randomized, f.Name(c), sb, cb, bounded.backtracks, sf, cf, full.backtracks)
+				}
+				if randomized && rb.Int63() != rf.Int63() {
+					t.Fatalf("%s randomized=%v, fault %s: the runs drew different random numbers", c.Name, randomized, f.Name(c))
+				}
+				backtracks += bounded.backtracks
+			}
+			if backtracks == 0 {
+				t.Fatalf("%s randomized=%v: no backtrack; the test exercised nothing", c.Name, randomized)
+			}
+			staleAll += stale
+			t.Logf("%s randomized=%v: %d backtracks, %d steps with gates off the region", c.Name, randomized, backtracks, stale)
+		}
+	}
+	if staleAll == 0 {
+		t.Fatal("no step left a gate off the region; the test exercised nothing")
 	}
 }
 
@@ -324,13 +418,14 @@ func TestConeFrontierMatchesScan(t *testing.T) {
 // TestTrailMatchesImply runs PODEM over every collapsed fault of s208,
 // s298 and s344 at the detection backtrack limit, deterministic and
 // randomized, and checks the undo trail at every step of every search:
-//   - every gate value equals a fresh imply of the input assignment;
+//   - every region gate value equals a fresh imply of the input
+//     assignment, and every other gate holds its freeVal;
 //   - the trail is one segment per decision, from its mark to the next
 //     decision's, and the first mark is 0: start left nothing on it;
 //   - each segment is the one settle of its decision's latest value, so
 //     it begins with that input and names no gate twice;
 //   - undoing the segments from the top gives, at each mark, the fresh
-//     imply of the decisions below it.
+//     imply of the decisions below it on the region, and freeVal off it.
 func TestTrailMatchesImply(t *testing.T) {
 	for _, name := range []string{"s208", "s298", "s344"} {
 		for _, randomized := range []bool{false, true} {
@@ -356,8 +451,8 @@ func TestTrailMatchesImply(t *testing.T) {
 					copy(e.piVal, pis)
 				}()
 				e.imply()
-				if !slices.Equal(cur, e.val) {
-					fail("settled values differ from a full imply")
+				if g := regionMismatch(e, cur, e.val); g >= 0 {
+					fail("settled value of %s differs from the implication invariant", c.Gates[g].Name)
 				}
 				if len(e.stack) == 0 {
 					if len(e.trail) != 0 {
@@ -387,8 +482,8 @@ func TestTrailMatchesImply(t *testing.T) {
 					end = int(dec.mark)
 					e.piVal[dec.gate] = logic.X
 					e.imply()
-					if !slices.Equal(vals, e.val) {
-						fail("undoing the trail to decision %d's mark differs from a full imply", d)
+					if g := regionMismatch(e, vals, e.val); g >= 0 {
+						fail("undoing the trail to decision %d's mark leaves %s off the implication invariant", d, c.Gates[g].Name)
 					}
 					undone++
 				}

@@ -91,14 +91,12 @@ func TestMiterDistinguish(t *testing.T) {
 	col := fault.Collapse(c)
 	r := rand.New(rand.NewSource(14))
 	budget := DefaultDiagConfig().SATConflictBudget
+	ms := newMiterSolver(c)
 	found := 0
 	for i := 0; i < len(col.Faults) && found < 25; i++ {
 		for j := i + 1; j < len(col.Faults) && found < 25; j++ {
 			fa, fb := col.Faults[i], col.Faults[j]
-			cube, status, _, mismatch, err := decidePair(c, fa, fb, budget)
-			if err != nil {
-				t.Fatal(err)
-			}
+			cube, status, _, mismatch := ms.distinguish(fa, fb, budget)
 			if mismatch {
 				t.Fatalf("model for %s / %s failed re-simulation", fa.Name(c), fb.Name(c))
 			}
@@ -134,10 +132,7 @@ func TestMiterEquivalentPair(t *testing.T) {
 	}
 	fa := fault.Fault{Gate: a, Pin: fault.StemPin, Stuck: 0} // a s-a-0
 	fy := fault.Fault{Gate: y, Pin: fault.StemPin, Stuck: 0} // y s-a-0
-	_, status, _, _, err := decidePair(c, fa, fy, DefaultDiagConfig().SATConflictBudget)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, status, _, _ := newMiterSolver(c).distinguish(fa, fy, DefaultDiagConfig().SATConflictBudget)
 	if status != Untestable {
 		t.Fatalf("equivalent pair reported %v, want untestable", status)
 	}
@@ -197,12 +192,20 @@ func TestSATAgreesWithPodemOnDetection(t *testing.T) {
 		satDefinitive, podemDefinitive, len(col.Faults))
 }
 
-// TestSolveOutputOneRejectsSequential covers the guard.
+// TestSolveOutputOneRejectsSequential covers the guards: the miter
+// solver panics on a sequential circuit, as NewEngine does, and the
+// netlist entry to the encoder returns an error.
 func TestSolveOutputOneRejectsSequential(t *testing.T) {
 	seq := gen.Profiles["s27"].MustGenerate(1)
 	if _, _, _, err := solveOutputOne(seq, seq.POs[0], 0); err == nil {
 		t.Fatal("sequential circuit accepted")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("newMiterSolver accepted a sequential circuit")
+		}
+	}()
+	newMiterSolver(seq)
 }
 
 // TestSATXnorEncoding checks the XNOR chain encoding directly: the model
@@ -260,20 +263,16 @@ func TestSATConstantCone(t *testing.T) {
 func TestSolveMiterRejectsFailingModel(t *testing.T) {
 	c := gen.C17()
 	f := fault.Collapse(c).Faults[0]
-	miter, err := BuildDetectionMiter(c, f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := newMiterSolver(c)
 	never := func(pattern.Vector) bool { return false }
-	if cube, status, _, mismatch, err := solveMiter(miter, 0, never); err != nil || status != Aborted || !mismatch || cube != nil {
-		t.Fatalf("refused model: cube %v status %v mismatch %v err %v, want nil Aborted true nil", cube, status, mismatch, err)
+	if cube, status, _, mismatch := ms.solve(ms.build(nil, &f), 0, never); status != Aborted || !mismatch || cube != nil {
+		t.Fatalf("refused model: cube %v status %v mismatch %v, want nil Aborted true", cube, status, mismatch)
 	}
-	detects := func(v pattern.Vector) bool { return VectorDetects(c, f, v) }
-	cube, status, _, mismatch, err := solveMiter(miter, 0, detects)
-	if err != nil || status != Success || mismatch {
-		t.Fatalf("checked model: status %v mismatch %v err %v, want Success false nil", status, mismatch, err)
+	cube, status, _, mismatch := ms.detect(f, 0)
+	if status != Success || mismatch {
+		t.Fatalf("checked model: status %v mismatch %v, want Success false", status, mismatch)
 	}
-	want, _, _, _ := solveOutputOne(miter, miter.POs[0], 0)
+	want, _, _ := ms.enc.solve(&ms.m, ms.build(nil, &f), 0)
 	if cube.Key() != want.Key() {
 		t.Fatalf("checked model %s differs from the solver's %s", cube, want)
 	}

@@ -138,11 +138,23 @@ func (p *Partition) normalize() {
 // normalized label array: labels dense in [0, next), every group size ≥ 2.
 func (p *Partition) rebuild() {
 	n := int(p.next)
-	if cap(p.size) < n {
-		p.size = make([]int32, n)
-		p.spanLo = make([]int32, n)
-		p.spanHi = make([]int32, n)
-		p.labs = make([]int32, n)
+	p.dead = 0
+	p.groups = n
+	p.live = 0
+	p.pairs = 0
+	for _, l := range p.lab {
+		if l >= 0 {
+			p.live++
+		}
+	}
+	p.labCap = int(p.next) + p.live - p.groups
+	// The per-label arrays get room for labCap labels, so the splits
+	// until the next rebuild never grow them in newLabel.
+	if cap(p.size) < p.labCap {
+		p.size = make([]int32, n, p.labCap)
+		p.spanLo = make([]int32, n, p.labCap)
+		p.spanHi = make([]int32, n, p.labCap)
+		p.labs = make([]int32, n, p.labCap)
 	}
 	p.size = p.size[:n]
 	p.spanLo = p.spanLo[:n]
@@ -152,14 +164,9 @@ func (p *Partition) rebuild() {
 		p.size[l] = 0
 		p.labs[l] = int32(l)
 	}
-	p.dead = 0
-	p.groups = n
-	p.live = 0
-	p.pairs = 0
 	for _, l := range p.lab {
 		if l >= 0 {
 			p.size[l]++
-			p.live++
 		}
 	}
 	off := int32(0)
@@ -189,7 +196,6 @@ func (p *Partition) rebuild() {
 		}
 		p.scratch = fill[:0]
 	}
-	p.labCap = int(p.next) + p.live - p.groups
 }
 
 // compactLabs drops dead entries from the label list once they outnumber
@@ -210,7 +216,8 @@ func (p *Partition) compactLabs() {
 }
 
 // newLabel allocates a fresh group label of the given size. Span bounds are
-// the caller's responsibility.
+// the caller's responsibility. The label is below labCap, so the appends
+// stay within the capacity rebuild (or Clone) gave the arrays.
 func (p *Partition) newLabel(sz int32) int32 {
 	l := p.next
 	p.next++
@@ -308,21 +315,23 @@ func (p *Partition) Label(i int) int32 { return p.lab[i] }
 // fault count is maintained during refinement.
 func (p *Partition) Done() bool { return p.live == 0 }
 
-// Clone returns an independent copy.
+// Clone returns an independent copy. Its per-label arrays have room for
+// labCap labels, as rebuild gives them.
 func (p *Partition) Clone() *Partition {
+	labels := func(s []int32) []int32 { return append(make([]int32, 0, max(p.labCap, len(s))), s...) }
 	return &Partition{
 		lab:     append([]int32(nil), p.lab...),
 		next:    p.next,
-		size:    append([]int32(nil), p.size...),
-		labs:    append([]int32(nil), p.labs...),
+		size:    labels(p.size),
+		labs:    labels(p.labs),
 		dead:    p.dead,
 		groups:  p.groups,
 		live:    p.live,
 		pairs:   p.pairs,
 		members: append([]int32(nil), p.members...),
 		pos:     append([]int32(nil), p.pos...),
-		spanLo:  append([]int32(nil), p.spanLo...),
-		spanHi:  append([]int32(nil), p.spanHi...),
+		spanLo:  labels(p.spanLo),
+		spanHi:  labels(p.spanHi),
 		labCap:  p.labCap,
 		canon:   p.canon,
 	}

@@ -6,7 +6,10 @@
 // (pair distinguishing, redundancy proofs) that structural PODEM abandons.
 package sat
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Lit is a literal: variable index v (0-based) shifted left once, with the
 // low bit set for negation.
@@ -60,22 +63,33 @@ const (
 	lUndef int8 = 0
 )
 
+// clause is a clause header: its literals are lits[start:start+size] of
+// the solver's literal slab. A clause is named by its index in the header
+// slab (a cref); noReason names none.
 type clause struct {
-	lits    []Lit
-	learned bool
-	deleted bool
-	locked  bool // reduceDB scratch: the reason of a current assignment
+	start, size int32
+	learned     bool
+	deleted     bool
+	locked      bool // reduceDB scratch: the reason of a current assignment
 }
+
+const noReason int32 = -1
 
 // Solver is a CDCL SAT solver. Create with NewSolver, add clauses, then
 // call Solve. Not safe for concurrent use.
 type Solver struct {
-	clauses []*clause
-	watches [][]*clause // literal -> clauses watching it
+	// Clause storage: every clause's header, original and learned, in the
+	// order it was added, and all their literals in one slab. A deleted
+	// clause keeps its header (watch lists drop it lazily) and gives up
+	// its literals at the next reduceDB.
+	clauses []clause
+	lits    []Lit
+	watches [][]int32 // literal -> crefs of the clauses watching it
+	spare   []int32   // free room that full watch lists move into; see watchLit
 
 	vals   []int8  // per literal: lTrue/lFalse/lUndef
 	level  []int32 // per variable: decision level of the assignment
-	reason []*clause
+	reason []int32 // per variable: cref of the implying clause, or noReason
 	trail  []Lit
 	qhead  int    // trail[:qhead] is propagated; see propagate
 	lim    []int  // trail indices at each decision level
@@ -93,15 +107,19 @@ type Solver struct {
 
 	learnedCount int
 	maxLearned   int
+
+	learnt []Lit   // analyze scratch: the clause being learned
+	reduce []int32 // reduceDB scratch: the crefs it may delete
 }
 
 // NewSolver returns a solver over numVars variables (indices 0..numVars-1).
 func NewSolver(numVars int) *Solver {
 	s := &Solver{
-		watches:    make([][]*clause, 2*numVars),
+		watches:    make([][]int32, 2*numVars),
 		vals:       make([]int8, 2*numVars),
 		level:      make([]int32, numVars),
-		reason:     make([]*clause, numVars),
+		reason:     make([]int32, numVars),
+		trail:      make([]Lit, 0, numVars),
 		seen:       make([]bool, numVars),
 		activity:   make([]float64, numVars),
 		phase:      make([]int8, numVars),
@@ -111,12 +129,24 @@ func NewSolver(numVars int) *Solver {
 		maxLearned: 4000,
 	}
 	for i := range s.phase {
+		s.reason[i] = noReason
 		s.phase[i] = lFalse
 		// All activities are 0, so ascending variable order is a heap.
 		s.order[i] = int32(i)
 		s.hpos[i] = int32(i)
 	}
 	return s
+}
+
+// Reserve makes room for clauses more clauses of lits literals in
+// total, so adding them does not grow the clause storage, and for their
+// watches.
+func (s *Solver) Reserve(clauses, lits int) {
+	s.clauses = slices.Grow(s.clauses, clauses)
+	s.lits = slices.Grow(s.lits, lits)
+	if n := 4 * clauses; len(s.spare) < n {
+		s.spare = make([]int32, n)
+	}
 }
 
 // NumVars returns the variable count.
@@ -127,7 +157,7 @@ func (s *Solver) AddVar() int {
 	v := len(s.level)
 	s.vals = append(s.vals, lUndef, lUndef)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, noReason)
 	s.seen = append(s.seen, false)
 	s.activity = append(s.activity, 0)
 	s.phase = append(s.phase, lFalse)
@@ -144,23 +174,25 @@ func (s *Solver) varValue(v int) int8 { return s.vals[v<<1] }
 
 // AddClause adds a clause (given at decision level 0). Duplicate literals
 // are removed; tautologies are ignored. Returns false if the formula is
-// already contradictory.
+// already contradictory. The solver keeps no reference to lits.
 func (s *Solver) AddClause(lits ...Lit) bool {
 	if s.unsatable {
 		return false
 	}
-	// Normalize: sort-free dedup, tautology check, drop false lits / keep
-	// undecided and true ones (only root-level assignments exist now).
-	out := lits[:0:0]
+	// Normalize into the slab's tail: sort-free dedup, tautology check,
+	// drop false lits / keep undecided and true ones (only root-level
+	// assignments exist now).
+	start := len(s.lits)
 	for _, l := range lits {
 		switch s.litValue(l) {
 		case lTrue:
+			s.lits = s.lits[:start]
 			return true // satisfied forever (root level)
 		case lFalse:
 			continue
 		}
 		dup, taut := false, false
-		for _, o := range out {
+		for _, o := range s.lits[start:] {
 			if o == l {
 				dup = true
 				break
@@ -171,41 +203,65 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 			}
 		}
 		if taut {
+			s.lits = s.lits[:start]
 			return true
 		}
 		if !dup {
-			out = append(out, l)
+			s.lits = append(s.lits, l)
 		}
 	}
-	switch len(out) {
+	switch n := len(s.lits) - start; n {
 	case 0:
 		s.unsatable = true
 		return false
 	case 1:
-		if !s.enqueue(out[0], nil) {
+		unit := s.lits[start]
+		s.lits = s.lits[:start]
+		if !s.enqueue(unit, noReason) {
 			s.unsatable = true
 			return false
 		}
-		if s.propagate() != nil {
+		if s.propagate() != noReason {
 			s.unsatable = true
 			return false
 		}
 		return true
+	default:
+		s.clauses = append(s.clauses, clause{start: int32(start), size: int32(n)})
+		s.watch(int32(len(s.clauses) - 1))
+		return true
 	}
-	c := &clause{lits: out}
-	s.clauses = append(s.clauses, c)
-	s.watch(c)
-	return true
 }
 
-func (s *Solver) watch(c *clause) {
-	// Watch the first two literals.
-	s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], c)
-	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], c)
+// watch puts clause cr on the watch lists of its first two literals.
+func (s *Solver) watch(cr int32) {
+	start := s.clauses[cr].start
+	s.watchLit(s.lits[start].Not(), cr)
+	s.watchLit(s.lits[start+1].Not(), cr)
+}
+
+// watchLit appends cr to literal l's watch list. A full list moves into
+// twice its capacity (at least 4) carved from the spare room, which is
+// refilled with room for about as many watches as the clauses have
+// literals, so the watch lists of a solve share a few chunks instead of
+// each growing on its own. The space a list moves out of stays unused.
+func (s *Solver) watchLit(l Lit, cr int32) {
+	w := s.watches[l]
+	if len(w) == cap(w) {
+		n := max(4, 2*cap(w))
+		if len(s.spare) < n {
+			s.spare = make([]int32, max(n, 1024, len(s.lits)))
+		}
+		moved := s.spare[:len(w):n]
+		copy(moved, w)
+		s.spare = s.spare[n:]
+		w = moved
+	}
+	s.watches[l] = append(w, cr)
 }
 
 // enqueue assigns a literal true with the given reason clause.
-func (s *Solver) enqueue(l Lit, from *clause) bool {
+func (s *Solver) enqueue(l Lit, from int32) bool {
 	switch s.litValue(l) {
 	case lTrue:
 		return true
@@ -222,7 +278,7 @@ func (s *Solver) enqueue(l Lit, from *clause) bool {
 }
 
 // propagate performs unit propagation of the trail from qhead on; it
-// returns the conflicting clause or nil.
+// returns the conflicting clause or noReason.
 //
 // Every literal below qhead has been propagated: each clause on its watch
 // list has its other watch true, and that holds until a backtrack removes
@@ -232,7 +288,7 @@ func (s *Solver) enqueue(l Lit, from *clause) bool {
 // level, and cancelUntil pulls qhead back to the new trail end; without
 // one (Solve returning Unknown or Unsat), a further Solve meets the same
 // conflict again.
-func (s *Solver) propagate() *clause {
+func (s *Solver) propagate() int32 {
 	vals := s.vals
 	for ; s.qhead < len(s.trail); s.qhead++ {
 		p := s.trail[s.qhead]
@@ -243,17 +299,18 @@ func (s *Solver) propagate() *clause {
 		ws := s.watches[p]
 		kept := 0
 		for wi := 0; wi < len(ws); wi++ {
-			c := ws[wi]
+			cr := ws[wi]
+			c := &s.clauses[cr]
 			if c.deleted {
 				continue // lazily dropped from the watch list
 			}
-			lits := c.lits
+			lits := s.lits[c.start : c.start+c.size]
 			// Ensure lits[1] is the false literal ¬p.
 			if lits[0] == falseLit {
 				lits[0], lits[1] = lits[1], falseLit
 			}
 			if vals[lits[0]] == lTrue {
-				ws[kept] = c
+				ws[kept] = cr
 				kept++
 				continue
 			}
@@ -262,8 +319,7 @@ func (s *Solver) propagate() *clause {
 			for k := 2; k < len(lits); k++ {
 				if vals[lits[k]] != lFalse {
 					lits[1], lits[k] = lits[k], falseLit
-					w := lits[1].Not()
-					s.watches[w] = append(s.watches[w], c)
+					s.watchLit(lits[1].Not(), cr)
 					found = true
 					break
 				}
@@ -272,18 +328,18 @@ func (s *Solver) propagate() *clause {
 				continue
 			}
 			// Unit or conflicting.
-			ws[kept] = c
+			ws[kept] = cr
 			kept++
-			if !s.enqueue(lits[0], c) {
+			if !s.enqueue(lits[0], cr) {
 				// Conflict: keep the remaining watchers and report.
 				kept += copy(ws[kept:], ws[wi+1:])
 				s.watches[p] = ws[:kept]
-				return c
+				return cr
 			}
 		}
 		s.watches[p] = ws[:kept]
 	}
-	return nil
+	return noReason
 }
 
 func (s *Solver) bumpVar(v int) {
@@ -304,9 +360,10 @@ func (s *Solver) bumpVar(v int) {
 }
 
 // analyze derives a first-UIP learned clause from the conflict and returns
-// it with the backtrack level.
-func (s *Solver) analyze(confl *clause) ([]Lit, int) {
-	learned := []Lit{0} // slot 0 reserved for the asserting literal
+// it with the backtrack level. The clause is solver scratch, valid until
+// the next call.
+func (s *Solver) analyze(confl int32) ([]Lit, int) {
+	learned := append(s.learnt[:0], 0) // slot 0 reserved for the asserting literal
 	seen := s.seen
 	counter := 0
 	var p Lit = -1
@@ -315,7 +372,8 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 
 	c := confl
 	for {
-		lits := c.lits
+		hdr := &s.clauses[c]
+		lits := s.lits[hdr.start : hdr.start+hdr.size]
 		if p >= 0 {
 			lits = lits[1:] // lits[0] is the asserting literal of the reason
 		}
@@ -365,6 +423,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 			break
 		}
 	}
+	s.learnt = learned
 	return learned, back
 }
 
@@ -380,7 +439,7 @@ func (s *Solver) cancelUntil(level int) {
 		s.phase[v] = s.varValue(v)
 		s.vals[l] = lUndef
 		s.vals[l.Not()] = lUndef
-		s.reason[v] = nil
+		s.reason[v] = noReason
 		if s.hpos[v] < 0 {
 			s.heapInsert(v)
 		}
@@ -494,14 +553,14 @@ func (s *Solver) Solve(conflictBudget int64) Result {
 	if conflictBudget <= 0 {
 		conflictBudget = 1 << 20
 	}
-	if confl := s.propagate(); confl != nil {
+	if confl := s.propagate(); confl != noReason {
 		return Unsat
 	}
 	restartLimit := int64(100)
 	sinceRestart := int64(0)
 	for {
 		confl := s.propagate()
-		if confl != nil {
+		if confl != noReason {
 			s.conflicts++
 			sinceRestart++
 			if len(s.lim) == 0 {
@@ -513,15 +572,16 @@ func (s *Solver) Solve(conflictBudget int64) Result {
 			learned, back := s.analyze(confl)
 			s.cancelUntil(back)
 			if len(learned) == 1 {
-				if !s.enqueue(learned[0], nil) {
+				if !s.enqueue(learned[0], noReason) {
 					return Unsat
 				}
 			} else {
-				c := &clause{lits: learned, learned: true}
-				s.clauses = append(s.clauses, c)
+				cr := int32(len(s.clauses))
+				s.clauses = append(s.clauses, clause{start: int32(len(s.lits)), size: int32(len(learned)), learned: true})
+				s.lits = append(s.lits, learned...)
+				s.watch(cr)
 				s.learnedCount++
-				s.watch(c)
-				if !s.enqueue(learned[0], c) {
+				if !s.enqueue(learned[0], cr) {
 					return Unsat
 				}
 			}
@@ -541,35 +601,45 @@ func (s *Solver) Solve(conflictBudget int64) Result {
 			return Sat
 		}
 		s.lim = append(s.lim, len(s.trail))
-		s.enqueue(l, nil)
+		s.enqueue(l, noReason)
 	}
 }
 
 // reduceDB deletes the longer half of the learned clauses (reasons of
 // current assignments excepted), keeping propagation fast on long runs.
-// Deleted clauses are dropped lazily from the watch lists.
+// Deleted clauses are dropped lazily from the watch lists; their
+// literals leave the slab at once.
 func (s *Solver) reduceDB() {
 	s.markReasons(true)
-	var learned []*clause
-	for _, c := range s.clauses {
-		if c.learned && !c.deleted && !c.locked {
-			learned = append(learned, c)
+	learned := s.reduce[:0]
+	for cr := range s.clauses {
+		if c := &s.clauses[cr]; c.learned && !c.deleted && !c.locked {
+			learned = append(learned, int32(cr))
 		}
 	}
 	s.markReasons(false)
 	// Longer learned clauses are weaker; delete the worse half.
-	sortClausesByLenDesc(learned)
-	for _, c := range learned[:len(learned)/2] {
-		c.deleted = true
+	s.sortClausesByLenDesc(learned)
+	for _, cr := range learned[:len(learned)/2] {
+		s.clauses[cr].deleted = true
 		s.learnedCount--
 	}
-	kept := s.clauses[:0]
-	for _, c := range s.clauses {
-		if !c.deleted {
-			kept = append(kept, c)
+	s.reduce = learned[:0]
+	// Slide the live clauses' literals down over the deleted ones. The
+	// slab holds them in header order, so no live literal is overwritten
+	// before it moves.
+	w := int32(0)
+	for cr := range s.clauses {
+		c := &s.clauses[cr]
+		if c.deleted {
+			c.start, c.size = 0, 0
+			continue
 		}
+		copy(s.lits[w:], s.lits[c.start:c.start+c.size])
+		c.start = w
+		w += c.size
 	}
-	s.clauses = kept
+	s.lits = s.lits[:w]
 	s.maxLearned += s.maxLearned / 10
 }
 
@@ -577,8 +647,8 @@ func (s *Solver) reduceDB() {
 // the trail.
 func (s *Solver) markReasons(locked bool) {
 	for _, l := range s.trail {
-		if r := s.reason[l.Var()]; r != nil {
-			r.locked = locked
+		if r := s.reason[l.Var()]; r != noReason {
+			s.clauses[r].locked = locked
 		}
 	}
 }
@@ -586,8 +656,8 @@ func (s *Solver) markReasons(locked bool) {
 // sortClausesByLenDesc orders learned clauses longest first. sort.Slice is
 // not stable, so the input order decides which equal-length clauses are
 // deleted: changing either is a change to the search.
-func sortClausesByLenDesc(cs []*clause) {
-	sort.Slice(cs, func(i, j int) bool { return len(cs[i].lits) > len(cs[j].lits) })
+func (s *Solver) sortClausesByLenDesc(crs []int32) {
+	sort.Slice(crs, func(i, j int) bool { return s.clauses[crs[i]].size > s.clauses[crs[j]].size })
 }
 
 // Value returns the model value of variable v after Solve returned Sat.

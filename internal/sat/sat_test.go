@@ -318,7 +318,7 @@ func TestDecideMatchesScan(t *testing.T) {
 				v := r.Intn(n)
 				if s.varValue(v) == lUndef {
 					s.lim = append(s.lim, len(s.trail))
-					s.enqueue(MkLit(v, r.Intn(2) == 0), nil)
+					s.enqueue(MkLit(v, r.Intn(2) == 0), noReason)
 				}
 			case op < 8: // backtrack
 				s.cancelUntil(r.Intn(len(s.lim) + 1))
@@ -331,7 +331,7 @@ func TestDecideMatchesScan(t *testing.T) {
 				checks++
 				if gok {
 					s.lim = append(s.lim, len(s.trail))
-					s.enqueue(got, nil)
+					s.enqueue(got, noReason)
 				}
 			}
 		}
