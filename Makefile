@@ -46,9 +46,10 @@ race:
 # encoder (verdict against exhaustive simulation), the miter encoder
 # (gates, variables, clauses and search against the named-netlist
 # reference, on netlists with forward references too), the /diagnose body
-# decoder (request and error against encoding/json) and the case-store
-# snapshot/journal decoder (cases and error against encoding/json);
-# CI-friendly budget.
+# decoder (request and error against encoding/json), the case-store
+# snapshot/journal decoder (cases and error against encoding/json) and the
+# fanout-free-region fault sweep (every fault's effect against per-fault
+# propagation, on random scan netlists); CI-friendly budget.
 fuzz:
 	$(GO) test -run=FuzzParse -fuzz=FuzzParse -fuzztime=30s ./internal/bench/
 	$(GO) test -run=FuzzSolveMatchesBruteForce -fuzz=FuzzSolveMatchesBruteForce -fuzztime=30s ./internal/sat/
@@ -56,6 +57,7 @@ fuzz:
 	$(GO) test -run=FuzzMiterCNFMatchesReference -fuzz=FuzzMiterCNFMatchesReference -fuzztime=30s ./internal/atpg/
 	$(GO) test -run=FuzzDecodeDiagnoseMatchesJSON -fuzz=FuzzDecodeDiagnoseMatchesJSON -fuzztime=30s ./internal/serve/
 	$(GO) test -run=FuzzDecodeCasesMatchesJSON -fuzz=FuzzDecodeCasesMatchesJSON -fuzztime=30s ./internal/casestore/
+	$(GO) test -run=FuzzSweepMatchesPropagate -fuzz=FuzzSweepMatchesPropagate -fuzztime=30s ./internal/sim/
 
 # Parallel-layer benchmarks (restart search, fault-sim sharding, sweep
 # rows) at workers=1 vs N plus the partition scan/refine microbenchmarks

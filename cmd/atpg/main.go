@@ -86,7 +86,7 @@ func run(ctx context.Context) error {
 		dcfg := atpg.DefaultDiagConfig()
 		dcfg.Seed = *seed + 3
 		var dst atpg.DiagStats
-		tests, dst = atpg.GenerateDiagnosticCtx(ctx, comb, col.Faults, tests, st.Verdicts, dcfg)
+		tests, _, dst = atpg.GenerateDiagnosticCtx(ctx, comb, col.Faults, tests, st.Verdicts, dcfg)
 		fmt.Printf("diagnostic: +%d random +%d SAT tests over %d rounds (%d pair attempts); "+
 			"%d equivalent pairs, %d aborted, %d response-identical pairs remain\n",
 			dst.RandomTests, dst.AddedTests, dst.Rounds, dst.MiterCalls,

@@ -15,6 +15,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"os"
 
@@ -23,6 +24,7 @@ import (
 	"sddict/internal/fault"
 	"sddict/internal/gen"
 	"sddict/internal/netlist"
+	"sddict/internal/par"
 	"sddict/internal/pattern"
 	"sddict/internal/sim"
 )
@@ -119,22 +121,22 @@ func run(ctx context.Context) error {
 	}
 
 	s := sim.New(view)
+	var sw sim.Sweep
+	seq := par.New(1)
 	counts := make([]int, len(col.Faults))
 	perTestDet := make([]int, tests.Len())
 	base := 0
 	for _, batch := range tests.Pack() {
 		b := batch
 		s.Apply(&b)
-		sweepErr := s.ForEachFault(ctx, col.Faults, func(fi int, eff sim.Effect) {
-			for p := 0; p < b.Count; p++ {
-				if eff.Detect&(1<<uint(p)) != 0 {
-					counts[fi]++
-					perTestDet[base+p]++
-				}
+		if err := sw.Run(ctx, seq, s, col.Faults); err != nil {
+			return err
+		}
+		for fi := range col.Faults {
+			for det := sw.Detect(fi); det != 0; det &= det - 1 {
+				counts[fi]++
+				perTestDet[base+bits.TrailingZeros64(det)]++
 			}
-		})
-		if sweepErr != nil {
-			return sweepErr
 		}
 		base += b.Count
 	}

@@ -64,8 +64,8 @@ func TestCarriedProofsMatchFreshSolves(t *testing.T) {
 			dcfg.Seed = 4
 			dcfg.MaxMiterCalls = 3000
 			dcfg.SATConflictBudget = budget
-			want, wantStats := GenerateDiagnosticCtx(context.Background(), comb, faults, base, nil, dcfg)
-			got, gotStats := GenerateDiagnosticCtx(context.Background(), comb, faults, base, satProofs, dcfg)
+			want, _, wantStats := GenerateDiagnosticCtx(context.Background(), comb, faults, base, nil, dcfg)
+			got, _, gotStats := GenerateDiagnosticCtx(context.Background(), comb, faults, base, satProofs, dcfg)
 			// Screening skips faults a test already isolated, so it may
 			// reach fewer proofs than were carried.
 			if gotStats.SATReused > carried {
@@ -143,8 +143,8 @@ func TestCarriedBudgetOutsMatchFreshSolves(t *testing.T) {
 			dcfg.Seed = 4
 			dcfg.MaxMiterCalls = 3000
 			dcfg.SATConflictBudget = budget
-			want, wantStats := GenerateDiagnosticCtx(context.Background(), comb, faults, base, proofs, dcfg)
-			got, gotStats := GenerateDiagnosticCtx(context.Background(), comb, faults, base, st.Verdicts, dcfg)
+			want, _, wantStats := GenerateDiagnosticCtx(context.Background(), comb, faults, base, proofs, dcfg)
+			got, _, gotStats := GenerateDiagnosticCtx(context.Background(), comb, faults, base, st.Verdicts, dcfg)
 			reused := gotStats.SATReused - wantStats.SATReused
 			if reused > applicable {
 				t.Errorf("%s budget %d: %d budget-outs reused, but only %d apply at this budget", name, budget, reused, applicable)

@@ -119,7 +119,12 @@ type DiagStats struct {
 // The closing random phase is skipped when every pair still sharing a
 // response group is proven equivalent: such faults respond identically
 // to every pattern, so no random test could split them.
-func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, base *pattern.Set, verdicts []Verdict, cfg DiagConfig) (*pattern.Set, DiagStats) {
+//
+// The returned matrix is the response matrix of faults under base, which
+// the returned test set extends by appending only: the capture of the
+// final set needs to simulate just the appended tests (Matrix.Append).
+// It is nil when cancellation stopped that first capture.
+func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, base *pattern.Set, verdicts []Verdict, cfg DiagConfig) (*pattern.Set, *resp.Matrix, DiagStats) {
 	if verdicts != nil && len(verdicts) != len(faults) {
 		panic(fmt.Sprintf("atpg: %d carried verdicts for %d faults", len(verdicts), len(faults)))
 	}
@@ -134,18 +139,16 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 	// base set unchanged.
 	p := core.NewPartition(len(faults))
 	detected := make([]bool, len(faults))
-	{
-		m, err := resp.BuildObsCtx(ctx, cfg.Workers, view, faults, tests, nil)
-		if err != nil {
-			stats.Interrupted = true
-			return tests, stats
-		}
-		for j := 0; j < m.K; j++ {
-			p.RefineByClass(m.Class[j])
-			for i := 0; i < m.N; i++ {
-				if m.Class[j][i] != 0 {
-					detected[i] = true
-				}
+	baseM, err := resp.BuildObsCtx(ctx, cfg.Workers, view, faults, tests, nil)
+	if err != nil {
+		stats.Interrupted = true
+		return tests, nil, stats
+	}
+	for j := 0; j < baseM.K; j++ {
+		p.RefineByClass(baseM.Class[j])
+		for i := 0; i < baseM.N; i++ {
+			if baseM.Class[j][i] != 0 {
+				detected[i] = true
 			}
 		}
 	}
@@ -453,7 +456,7 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 		randomPhase(4 * cfg.UselessBatchLimit)
 	}
 	stats.IndistPairs = p.Pairs()
-	return tests, stats
+	return tests, baseM, stats
 }
 
 // groupMembers lists the members of every live group of p.

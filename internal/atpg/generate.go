@@ -6,6 +6,7 @@ import (
 
 	"sddict/internal/fault"
 	"sddict/internal/netlist"
+	"sddict/internal/par"
 	"sddict/internal/pattern"
 	"sddict/internal/sim"
 )
@@ -146,6 +147,9 @@ func GenerateDetectionCtx(ctx context.Context, c *netlist.Circuit, faults []faul
 	// simulateCandidates fault-simulates a candidate batch and appends the
 	// patterns that supply a needed detection, updating counts.
 	detWords := make([]uint64, len(faults))
+	var sw sim.Sweep
+	var sub []fault.Fault
+	seq := par.New(1)
 	simulateCandidates := func(cand []pattern.Vector) int {
 		set := pattern.NewSet(width)
 		for _, v := range cand {
@@ -154,8 +158,17 @@ func GenerateDetectionCtx(ctx context.Context, c *netlist.Circuit, faults []faul
 		batch := set.Pack()[0]
 		s.Apply(&batch)
 		act := active()
+		sub = sub[:0]
 		for _, fi := range act {
-			detWords[fi] = s.Propagate(faults[fi]).Detect
+			sub = append(sub, faults[fi])
+		}
+		if err := sw.Run(ctx, seq, s, sub); err != nil {
+			// Cancelled mid-batch: keep none of it.
+			stats.Interrupted = true
+			return 0
+		}
+		for li, fi := range act {
+			detWords[fi] = sw.Detect(li)
 		}
 		kept := 0
 		for p := 0; p < batch.Count; p++ {
@@ -305,7 +318,11 @@ func GenerateDetectionCtx(ctx context.Context, c *netlist.Circuit, faults []faul
 	// Compaction is an optimization, not a correctness step: skip it when
 	// already interrupted rather than start more fault simulation.
 	if cfg.Compact && cfg.NDetect == 1 && !stats.Interrupted && ctx.Err() == nil {
-		tests = Compact(view, faults, tests)
+		if compacted, err := Compact(ctx, view, faults, tests); err == nil {
+			tests = compacted
+		} else {
+			stats.Interrupted = true
+		}
 	}
 	for i := range faults {
 		if counts[i] > 0 {
@@ -321,11 +338,15 @@ func GenerateDetectionCtx(ctx context.Context, c *netlist.Circuit, faults []faul
 // Compact performs reverse-order fault-simulation compaction: tests are
 // fault-simulated newest-first with fault dropping, and tests that detect
 // no still-undetected fault are removed. The surviving tests keep their
-// original relative order.
-func Compact(view *netlist.ScanView, faults []fault.Fault, tests *pattern.Set) *pattern.Set {
+// original relative order. Cancellation returns ctx.Err() and no set.
+func Compact(ctx context.Context, view *netlist.ScanView, faults []fault.Fault, tests *pattern.Set) (*pattern.Set, error) {
 	s := sim.New(view)
+	var sw sim.Sweep
+	seq := par.New(1)
 	detected := make([]bool, len(faults))
 	keep := make([]bool, tests.Len())
+	live := make([]int, 0, len(faults))
+	sub := make([]fault.Fault, 0, len(faults))
 
 	// Walk 64-test windows from the end; within a window, examine patterns
 	// from the highest index down.
@@ -340,20 +361,21 @@ func Compact(view *netlist.ScanView, faults []fault.Fault, tests *pattern.Set) *
 		}
 		batch := window.Pack()[0]
 		s.Apply(&batch)
-		det := make([]uint64, 0, len(faults))
-		live := make([]int, 0, len(faults))
+		live, sub = live[:0], sub[:0]
 		for fi := range faults {
-			if detected[fi] {
-				continue
+			if !detected[fi] {
+				live = append(live, fi)
+				sub = append(sub, faults[fi])
 			}
-			live = append(live, fi)
-			det = append(det, s.Propagate(faults[fi]).Detect)
+		}
+		if err := sw.Run(ctx, seq, s, sub); err != nil {
+			return nil, err
 		}
 		for p := batch.Count - 1; p >= 0; p-- {
 			bit := uint64(1) << uint(p)
 			useful := false
 			for li, fi := range live {
-				if detected[fi] || det[li]&bit == 0 {
+				if detected[fi] || sw.Detect(li)&bit == 0 {
 					continue
 				}
 				useful = true
@@ -369,5 +391,5 @@ func Compact(view *netlist.ScanView, faults []fault.Fault, tests *pattern.Set) *
 			out.Add(v)
 		}
 	}
-	return out
+	return out, nil
 }

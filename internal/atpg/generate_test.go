@@ -114,7 +114,10 @@ func TestCompactPreservesCoverage(t *testing.T) {
 		tests.Add(pattern.Random(r, view.NumInputs()))
 	}
 	before := countDetections(view, col.Faults, tests)
-	compacted := Compact(view, col.Faults, tests)
+	compacted, err := Compact(context.Background(), view, col.Faults, tests)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if compacted.Len() >= tests.Len() {
 		t.Errorf("compaction did not shrink: %d -> %d", tests.Len(), compacted.Len())
 	}
@@ -145,7 +148,7 @@ func TestGenerateDiagnosticImprovesResolution(t *testing.T) {
 
 	dcfg := DefaultDiagConfig()
 	dcfg.Seed = 6
-	diag, st := GenerateDiagnosticCtx(context.Background(), comb, col.Faults, base, nil, dcfg)
+	diag, _, st := GenerateDiagnosticCtx(context.Background(), comb, col.Faults, base, nil, dcfg)
 	if diag.Len() < base.Len() {
 		t.Fatalf("diagnostic set smaller than base")
 	}

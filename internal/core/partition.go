@@ -77,18 +77,22 @@ const Isolated = int32(-1)
 // NewPartition returns the initial partition: all n faults in one group
 // (every pair is a target, as in Procedure 1 step 1).
 func NewPartition(n int) *Partition {
-	p := &Partition{lab: make([]int32, n), canon: true}
-	if n < 2 {
-		for i := range p.lab {
-			p.lab[i] = Isolated
-		}
-		p.next = 0
-		p.rebuild()
-		return p
-	}
-	p.next = 1
-	p.rebuild()
+	p := &Partition{}
+	p.reset(n)
 	return p
+}
+
+// reset puts p in NewPartition(n)'s state, reusing its buffers.
+func (p *Partition) reset(n int) {
+	lab, next := int32(0), int32(1)
+	if n < 2 {
+		lab, next = Isolated, 0
+	}
+	for i := range growI32(&p.lab, n) {
+		p.lab[i] = lab
+	}
+	p.next, p.canon = next, true
+	p.rebuild()
 }
 
 // NewPartitionFromLabels builds a partition from an explicit label array;

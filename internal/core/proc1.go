@@ -22,13 +22,15 @@ import (
 // bit-identical dist values, so the LOWER cutoff fires at the same points,
 // cand_evals counts match exactly, and the selected baselines are
 // unchanged (DESIGN.md §14).
-func procedure1(ctx context.Context, m *resp.Matrix, order []int, lower, slots int) restartResult {
-	p := NewPartition(m.N)
+//
+// p and scratch are the caller's reusable state: p is reset to the
+// initial partition, and scratch's buffers carry no state between tests.
+func procedure1(ctx context.Context, m *resp.Matrix, order []int, lower, slots int, p *Partition, scratch *distScratch) restartResult {
+	p.reset(m.N)
 	res := restartResult{base: make([]int32, m.K)} // unselected tests keep the fault-free baseline
 	if slots == 2 {
 		res.extra = make([]int32, m.K)
 	}
-	var scratch distScratch
 	for _, j := range order {
 		if p.Done() {
 			break

@@ -72,7 +72,7 @@ func TestProcedure1MatchesReference(t *testing.T) {
 		m := randomMatrix(r, 2+r.Intn(25), 1+r.Intn(8), 5)
 		order := r.Perm(m.K)
 		lower := r.Intn(4) // 0 = exhaustive, small cutoffs stress the rule
-		res := procedure1(context.Background(), m, order, lower, 1)
+		res := procedure1(context.Background(), m, order, lower, 1, new(Partition), new(distScratch))
 		gotBase, gotPairs := res.base, res.indist
 		if !res.done {
 			t.Fatalf("trial %d: uninterrupted Procedure 1 reported interruption", trial)

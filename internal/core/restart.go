@@ -41,15 +41,38 @@ func OrderSeedSchedule(seed int64, n int) []int64 {
 	return s
 }
 
-// restartOrder materializes the test order of restart i over k tests.
-func restartOrder(seed int64, i, k int) []int {
-	order := make([]int, k)
+// restartScratch is the state one worker reuses from restart to restart:
+// the partition, the dist-scan buffers, the order buffer and the order
+// generator. Restarts stay pure functions of (m, seed, i): each one
+// resets what it reads.
+type restartScratch struct {
+	p     Partition
+	dist  distScratch
+	order []int
+	src   orderSource
+	rng   *rand.Rand
+}
+
+func newRestartScratch() *restartScratch {
+	sc := &restartScratch{}
+	sc.rng = rand.New(&sc.src)
+	return sc
+}
+
+// restartOrder materializes the test order of restart i over k tests
+// into sc's order buffer: the natural order for restart 0, otherwise the
+// shuffle rand.New(rand.NewSource(OrderSeed(seed, i))) draws.
+func (sc *restartScratch) restartOrder(seed int64, i, k int) []int {
+	if cap(sc.order) < k {
+		sc.order = make([]int, k)
+	}
+	order := sc.order[:k]
 	for j := range order {
 		order[j] = j
 	}
 	if i > 0 {
-		r := rand.New(rand.NewSource(OrderSeed(seed, i)))
-		r.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
+		sc.src.Seed(OrderSeed(seed, i))
+		sc.rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
 	}
 	return order
 }
@@ -67,17 +90,17 @@ type restartResult struct {
 }
 
 // runRestart executes restart i of the schedule: a pure function of
-// (m, seed, i, lower, slots) with its own distScratch (inside procedure1),
-// so concurrent restarts share no state. The restart_start trace event is
+// (m, seed, i, lower, slots). sc is the calling worker's scratch, so
+// concurrent restarts share no state. The restart_start trace event is
 // the one observation emitted from a worker rather than a fold point: it
 // records real (speculative) execution order, so its position in the
 // trace may vary across worker counts even though every metric and every
 // other event is fold-ordered.
-func runRestart(ctx context.Context, m *resp.Matrix, seed int64, i, lower, slots int, ob *obs.Observer) restartResult {
+func runRestart(ctx context.Context, m *resp.Matrix, seed int64, i, lower, slots int, ob *obs.Observer, sc *restartScratch) restartResult {
 	if ob.Tracing() {
 		ob.Emit("restart_start", map[string]any{"restart": i, "order_seed": OrderSeed(seed, i)})
 	}
-	return procedure1(ctx, m, restartOrder(seed, i, m.K), lower, slots)
+	return procedure1(ctx, m, sc.restartOrder(seed, i, m.K), lower, slots, &sc.p, &sc.dist)
 }
 
 // restartState is the sequential fold over restart results — exactly the
@@ -150,8 +173,19 @@ func runRestartsCtx(ctx context.Context, m *resp.Matrix, opt Options, slots int,
 	}
 	ob := opt.Obs
 	pool := par.New(opt.Workers)
+	// free holds the scratch of idle workers; at most Workers tasks run
+	// at once, so it never needs more.
+	free := make(chan *restartScratch, pool.Workers())
 	par.Stream(ctx, pool, maxRestarts-start, func(ctx context.Context, si int) restartResult {
-		return runRestart(ctx, m, opt.Seed, start+si, opt.Lower, slots, ob)
+		var sc *restartScratch
+		select {
+		case sc = <-free:
+		default:
+			sc = newRestartScratch()
+		}
+		res := runRestart(ctx, m, opt.Seed, start+si, opt.Lower, slots, ob, sc)
+		free <- sc
+		return res
 	}, func(si int, res restartResult) bool {
 		if !res.done {
 			interrupted = true

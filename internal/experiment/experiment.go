@@ -236,6 +236,7 @@ func PrepareCtx(ctx context.Context, c *netlist.Circuit, tt TestSetType, cfg Con
 	comb := netlist.Combinationalize(c)
 	col := fault.Collapse(comb)
 	var tests *pattern.Set
+	var baseM *resp.Matrix // responses of a prefix of tests, when known
 	var info string
 	switch tt {
 	case TenDetect:
@@ -254,8 +255,8 @@ func PrepareCtx(ctx context.Context, c *netlist.Circuit, tt TestSetType, cfg Con
 		_, gcfg := scaled(comb.NumLogicGates(), cfg.Effort)
 		gcfg.Seed = cfg.Seed + 3
 		gcfg.Workers = cfg.Workers
-		set, dst := atpg.GenerateDiagnosticCtx(ctx, comb, col.Faults, base, st.Verdicts, gcfg)
-		tests = set
+		set, m, dst := atpg.GenerateDiagnosticCtx(ctx, comb, col.Faults, base, st.Verdicts, gcfg)
+		tests, baseM = set, m
 		recordATPG(cfg.Obs, st, dst)
 		info = fmt.Sprintf("diag: %d detection + %d random + %d miter tests, %d equivalent pairs, %d aborted, coverage %.1f%%",
 			dst.BaseTests, dst.RandomTests, dst.AddedTests, dst.Equivalent, dst.Aborted, 100*st.Coverage())
@@ -270,10 +271,21 @@ func PrepareCtx(ctx context.Context, c *netlist.Circuit, tt TestSetType, cfg Con
 		return nil, fmt.Errorf("experiment: empty test set for %s/%s", c.Name, tt)
 	}
 
-	m, merr := resp.BuildObsCtx(ctx, cfg.Workers, netlist.NewScanView(comb), col.Faults, tests, cfg.Obs)
+	// Diagnostic generation already captured its base tests; a test's
+	// class row depends on that test alone, so only the appended tests
+	// are simulated and their rows appended.
+	todo := tests
+	if baseM != nil {
+		todo = pattern.NewSet(tests.Width)
+		todo.Vecs = tests.Vecs[baseM.K:]
+	}
+	m, merr := resp.BuildObsCtx(ctx, cfg.Workers, netlist.NewScanView(comb), col.Faults, todo, cfg.Obs)
 	if merr != nil {
 		return nil, &StageError{Stage: StagePrepare, Circuit: c.Name,
 			Err: fmt.Errorf("response matrix: %w", merr)}
+	}
+	if baseM != nil {
+		m = baseM.Append(m)
 	}
 	return &Prepared{Circuit: comb, Faults: col.Faults, Tests: tests, Matrix: m, GenInfo: info}, nil
 }

@@ -7,6 +7,8 @@ import (
 	"sddict/internal/atpg"
 	"sddict/internal/dictio"
 	"sddict/internal/gen"
+	"sddict/internal/netlist"
+	"sddict/internal/resp"
 )
 
 // runProfileRow runs the whole pipeline for one Table-6 row.
@@ -197,6 +199,41 @@ func TestPipelineTestSetChecksums(t *testing.T) {
 			t.Errorf("%s/%s: full/pf/sd %d/%d/%d over %d restarts; want %d/%d/%d over %d",
 				tc.circuit, tc.tt, row.IndFull, row.IndPF, row.IndSDFinal, row.BuildStats.Restarts,
 				tc.full, tc.pf, tc.sd, tc.restarts)
+		}
+	}
+}
+
+// TestPrepareDiagMatrixMatchesFullCapture: a diagnostic row captures
+// only the tests diagnosis appended to its base set and reuses the base
+// matrix; the result must equal capturing the final set whole.
+func TestPrepareDiagMatrixMatchesFullCapture(t *testing.T) {
+	for _, name := range []string{"s298", "s953"} {
+		pr, err := PrepareProfileCtx(context.Background(), name, Diagnostic, Config{Seed: 1, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := resp.BuildObsCtx(context.Background(), 1, netlist.NewScanView(pr.Circuit), pr.Faults, pr.Tests, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := pr.Matrix
+		if got.N != want.N || got.K != want.K || got.M != want.M {
+			t.Fatalf("%s: dims %d/%d/%d, whole capture %d/%d/%d", name, got.N, got.K, got.M, want.N, want.K, want.M)
+		}
+		for j := 0; j < want.K; j++ {
+			if got.NumClasses(j) != want.NumClasses(j) {
+				t.Fatalf("%s test %d: %d classes, whole capture %d", name, j, got.NumClasses(j), want.NumClasses(j))
+			}
+			for i := range want.Class[j] {
+				if got.Class[j][i] != want.Class[j][i] {
+					t.Fatalf("%s test %d fault %d: class %d, whole capture %d", name, j, i, got.Class[j][i], want.Class[j][i])
+				}
+			}
+			for z := range want.Vecs[j] {
+				if !got.Vecs[j][z].Equal(want.Vecs[j][z]) {
+					t.Fatalf("%s test %d class %d: vector differs from the whole capture", name, j, z)
+				}
+			}
 		}
 	}
 }

@@ -54,6 +54,10 @@ const (
 	// SimBatches counts 64-pattern fault-simulation batches swept while
 	// building response matrices.
 	SimBatches
+	// SimRootFlips counts the fanout-free-region root flips those batches
+	// propagated (one per distinct root reached per batch, where
+	// per-fault propagation would run one per fault).
+	SimRootFlips
 	// CheckpointSaves counts construction snapshots emitted.
 	CheckpointSaves
 	// SweepRowsDone counts Table-6 sweep rows that completed normally.
@@ -129,6 +133,7 @@ var counterNames = [numCounters]string{
 	Proc2Accepted:        "proc2_accepted",
 	Proc2Rejected:        "proc2_rejected",
 	SimBatches:           "sim_batches",
+	SimRootFlips:         "sim_root_flips",
 	CheckpointSaves:      "checkpoint_saves",
 	SweepRowsDone:        "sweep_rows_done",
 	SweepRowsFailed:      "sweep_rows_failed",

@@ -146,18 +146,19 @@ type patternRow struct {
 
 // BuildObsCtx fault-simulates every fault under every test (64 patterns
 // per pass) and returns the deduplicated response matrix. Batches run in
-// order; within a batch the fault sweep is sharded across workers
-// Simulator forks (0 = one per available CPU, 1 = sequential) and the
-// per-test class tables are assembled concurrently. Class ids are
-// assigned by scanning effects in fault-index order, so the matrix is
+// order; within a batch the fault sweep (sim.Sweep: one propagation per
+// fanout-free-region root) is sharded across workers Simulator forks
+// (0 = one per available CPU, 1 = sequential) and the per-test class
+// tables are assembled concurrently. Class ids are assigned by scanning
+// the detected faults in fault-index order, so the matrix is
 // byte-identical at every worker count (DESIGN.md §9) and with ob set or
-// nil, and ob's sim_batches counter and resp_build events are the same
-// at every worker count.
+// nil, and ob's sim_batches and sim_root_flips counters and resp_build
+// events are the same at every worker count.
 //
 // A partial matrix would silently corrupt every dictionary built from
 // it, so unlike the dictionary search this stage does not degrade:
-// cancellation, checked per fault within each batch, returns ctx.Err()
-// and no matrix.
+// cancellation, checked per fault and per root flip within each batch,
+// returns ctx.Err() and no matrix.
 func BuildObsCtx(ctx context.Context, workers int, view *netlist.ScanView, faults []fault.Fault, tests *pattern.Set, ob *obs.Observer) (*Matrix, error) {
 	if tests.Width != view.NumInputs() {
 		panic(fmt.Sprintf("resp: test width %d != %d scan inputs", tests.Width, view.NumInputs()))
@@ -173,133 +174,191 @@ func BuildObsCtx(ctx context.Context, workers int, view *netlist.ScanView, fault
 	}
 	pool := par.New(workers)
 	s := sim.New(view)
+	var sw sim.Sweep
 	goodWords := make([]logic.Word, m.M)
+	detWords := make([]uint64, m.N)
 	base := 0
 	for _, batch := range tests.Pack() {
 		b := batch
 		s.Apply(&b)
 		s.GoodOutputs(goodWords)
-
-		effects, err := sweepEffects(ctx, pool, s, faults)
-		if err != nil {
+		if err := sw.Run(ctx, pool, s, faults); err != nil {
 			return nil, err
 		}
 		// Transpose the per-fault detect words once per batch: each test's
 		// assembly then walks only its detected faults instead of
 		// re-deriving detection for every (pattern, fault) pair.
-		detect := sim.DetectBitmaps(effects, b.Count)
+		for i := range detWords {
+			detWords[i] = sw.Detect(i)
+		}
+		detect := sim.DetectBitmaps(detWords, b.Count)
 
 		// Assemble each test of the batch independently: a test's class
-		// table depends only on the good outputs and the effect list, and
-		// class ids are assigned in fault order, exactly as the sequential
-		// single-pass assembly did.
-		rows, err := par.Map(ctx, pool, b.Count, func(ctx context.Context, p int) (patternRow, error) {
-			if ctx.Err() != nil {
-				return patternRow{}, ctx.Err()
+		// table depends only on the good outputs and the sweep, and class
+		// ids are assigned in fault order. The patterns are split into one
+		// contiguous range per worker, so each range reuses its scratch.
+		w := min(pool.Workers(), b.Count)
+		chunks, err := par.Map(ctx, pool, w, func(ctx context.Context, k int) ([]patternRow, error) {
+			a := newAssembler(m.M, sw.Flips())
+			lo, hi := k*b.Count/w, (k+1)*b.Count/w
+			rows := make([]patternRow, 0, hi-lo)
+			for p := lo; p < hi; p++ {
+				if ctx.Err() != nil {
+					return nil, ctx.Err()
+				}
+				rows = append(rows, a.pattern(m.N, goodWords, &sw, detect[p], p))
 			}
-			return assemblePattern(m, goodWords, effects, detect[p], p), nil
+			return rows, nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		for p, row := range rows {
-			j := base + p
-			m.Class[j] = row.class
-			m.Vecs[j] = row.vecs
+		j := base
+		for _, rows := range chunks {
+			for _, row := range rows {
+				m.Class[j] = row.class
+				m.Vecs[j] = row.vecs
+				j++
+			}
 		}
 		base += b.Count
 		ob.M().Inc(obs.SimBatches)
+		ob.M().Add(obs.SimRootFlips, int64(sw.Flips()))
 		ob.Tick()
 	}
 	return m, nil
 }
 
-// sweepEffects simulates every fault against the simulator's current batch,
-// sharding the fault list across per-worker forks, and returns the effects
-// indexed by fault. Each shard is a pure function of (applied batch, fault
-// range), so the result is independent of the shard count.
-func sweepEffects(ctx context.Context, pool *par.Pool, s *sim.Simulator, faults []fault.Fault) ([]sim.Effect, error) {
-	w := pool.Workers()
-	if w == 1 {
-		effects := make([]sim.Effect, len(faults))
-		err := s.ForEachFault(ctx, faults, func(i int, eff sim.Effect) {
-			effects[i] = eff
-		})
-		if err != nil {
-			return nil, err
-		}
-		return effects, nil
-	}
-	if w > len(faults) {
-		w = len(faults)
-	}
-	shards, err := par.Map(ctx, pool, w, func(ctx context.Context, k int) ([]sim.Effect, error) {
-		lo, hi := k*len(faults)/w, (k+1)*len(faults)/w
-		fork := s.Fork()
-		shard := make([]sim.Effect, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			shard = append(shard, fork.Propagate(faults[i]))
-		}
-		return shard, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	effects := make([]sim.Effect, 0, len(faults))
-	for _, shard := range shards {
-		effects = append(effects, shard...)
-	}
-	return effects, nil
+// assembler is one worker's scratch for assembling class rows.
+type assembler struct {
+	vec    logic.BitVec
+	table  classTable
+	memo   []int32 // per sweep root: its class at the pattern stamped in memoAt
+	memoAt []int32
 }
 
-// assemblePattern builds one test's class row and vector table from the
-// batch's effect list. detect is this pattern's fault bitmap from
-// sim.DetectBitmaps: undetected faults are class 0 by construction, and
-// the detected faults are walked in index order via trailing-zero
-// iteration, so class ids match the sequential full-scan assembly bit for
-// bit. Each fault's vector is built in one scratch vector and copied only
-// when it opens a new class.
-func assemblePattern(m *Matrix, goodWords []logic.Word, effects []sim.Effect, detect []uint64, p int) patternRow {
-	good := logic.NewBitVec(m.M)
-	for o := 0; o < m.M; o++ {
+func newAssembler(m, roots int) *assembler {
+	a := &assembler{vec: logic.NewBitVec(m), memo: make([]int32, roots), memoAt: make([]int32, roots)}
+	for k := range a.memoAt {
+		a.memoAt[k] = -1
+	}
+	return a
+}
+
+// pattern builds test p's class row and vector table from the batch's
+// sweep. detect is this pattern's fault bitmap from sim.DetectBitmaps:
+// undetected faults are class 0 by construction, and the detected faults
+// are walked in index order via trailing-zero iteration, so class ids
+// follow first occurrence in fault order. Faults that exit through the
+// same region root share its faulty vector on p, so each root's vector
+// is built and looked up once per pattern; the scratch vector is copied
+// only when it opens a new class.
+func (a *assembler) pattern(n int, goodWords []logic.Word, sw *sim.Sweep, detect []uint64, p int) patternRow {
+	good := make(logic.BitVec, len(a.vec))
+	for o := range goodWords {
 		good.Set(o, (goodWords[o]>>uint(p))&1)
 	}
 	row := patternRow{
-		class: make([]int32, m.N),
+		class: make([]int32, n),
 		vecs:  []logic.BitVec{good},
 	}
-	byHash := map[uint64][]int32{good.Hash(): {0}}
-	vec := logic.NewBitVec(m.M)
+	a.table.reset()
+	a.table.insert(good.Hash(), 0)
+	vec := a.vec
 	for w, dw := range detect {
 		for dw != 0 {
 			i := w<<6 + bits.TrailingZeros64(dw)
 			dw &= dw - 1
+			k := sw.Root(i)
+			if a.memoAt[k] == int32(p) {
+				row.class[i] = a.memo[k]
+				continue
+			}
 			copy(vec, good)
-			for _, d := range effects[i].Diffs {
-				if d.Bits&(1<<uint(p)) != 0 {
-					vec.Set(int(d.Slot), 1-vec.Get(int(d.Slot)))
-				}
+			for _, d := range sw.RootEffect(k).Diffs {
+				vec[d.Slot>>6] ^= (d.Bits >> uint(p) & 1) << (uint(d.Slot) & 63)
 			}
 			h := vec.Hash()
-			cls := int32(-1)
-			for _, cand := range byHash[h] {
-				if row.vecs[cand].Equal(vec) {
-					cls = cand
-					break
-				}
-			}
+			cls := a.table.find(h, vec, row.vecs)
 			if cls < 0 {
 				cls = int32(len(row.vecs))
 				row.vecs = append(row.vecs, vec.Clone())
-				byHash[h] = append(byHash[h], cls)
+				a.table.insert(h, cls)
 			}
+			a.memo[k], a.memoAt[k] = cls, int32(p)
 			row.class[i] = cls
 		}
 	}
 	return row
+}
+
+// classTable maps output-vector hashes to the class ids of one test: an
+// open-addressing table reused across tests.
+type classTable struct {
+	hash []uint64
+	cls  []int32 // class id + 1; 0 marks an empty slot
+	used []int32 // filled slots, cleared by reset
+}
+
+func (t *classTable) reset() {
+	for _, s := range t.used {
+		t.cls[s] = 0
+	}
+	t.used = t.used[:0]
+}
+
+// find returns the class of vec, whose hash is h, or -1.
+func (t *classTable) find(h uint64, vec logic.BitVec, vecs []logic.BitVec) int32 {
+	if len(t.cls) == 0 {
+		return -1
+	}
+	mask := uint64(len(t.cls) - 1)
+	for s := h & mask; t.cls[s] != 0; s = (s + 1) & mask {
+		if t.hash[s] == h && vecs[t.cls[s]-1].Equal(vec) {
+			return t.cls[s] - 1
+		}
+	}
+	return -1
+}
+
+func (t *classTable) insert(h uint64, cls int32) {
+	if 2*(len(t.used)+1) > len(t.cls) {
+		t.grow()
+	}
+	mask := uint64(len(t.cls) - 1)
+	s := h & mask
+	for t.cls[s] != 0 {
+		s = (s + 1) & mask
+	}
+	t.hash[s], t.cls[s] = h, cls+1
+	t.used = append(t.used, int32(s))
+}
+
+// grow doubles the table and re-inserts the filled slots.
+func (t *classTable) grow() {
+	hash, cls, used := t.hash, t.cls, t.used
+	size := max(16, 2*len(cls))
+	t.hash, t.cls, t.used = make([]uint64, size), make([]int32, size), make([]int32, 0, size/2)
+	for _, s := range used {
+		t.insert(hash[s], cls[s]-1)
+	}
+}
+
+// Append returns the matrix of m's tests followed by tail's, which must
+// cover the same faults and outputs. A test's class row and vectors
+// depend on that test alone, so appending the capture of added tests
+// equals capturing the whole set. The rows are shared, not copied.
+func (m *Matrix) Append(tail *Matrix) *Matrix {
+	if tail.N != m.N || tail.M != m.M {
+		panic(fmt.Sprintf("resp: append %dx%d responses to %dx%d", tail.N, tail.M, m.N, m.M))
+	}
+	return &Matrix{
+		N:     m.N,
+		K:     m.K + tail.K,
+		M:     m.M,
+		Class: append(m.Class[:m.K:m.K], tail.Class...),
+		Vecs:  append(m.Vecs[:m.K:m.K], tail.Vecs...),
+	}
 }
 
 // FromResponses builds a matrix from explicit output vectors, e.g. when

@@ -172,3 +172,47 @@ func TestBuildWorkersIdentical(t *testing.T) {
 		}
 	}
 }
+
+// sameMatrix fails unless a and b hold the same dimensions, class rows
+// and class vectors.
+func sameMatrix(tb testing.TB, a, b *Matrix) {
+	tb.Helper()
+	if a.N != b.N || a.K != b.K || a.M != b.M {
+		tb.Fatalf("dims %d/%d/%d != %d/%d/%d", a.N, a.K, a.M, b.N, b.K, b.M)
+	}
+	for j := 0; j < a.K; j++ {
+		if a.NumClasses(j) != b.NumClasses(j) {
+			tb.Fatalf("test %d: %d classes, want %d", j, a.NumClasses(j), b.NumClasses(j))
+		}
+		for i := range a.Class[j] {
+			if a.Class[j][i] != b.Class[j][i] {
+				tb.Fatalf("test %d fault %d: class %d, want %d", j, i, a.Class[j][i], b.Class[j][i])
+			}
+		}
+		for cls := range a.Vecs[j] {
+			if !a.Vecs[j][cls].Equal(b.Vecs[j][cls]) {
+				tb.Fatalf("test %d class %d: vector differs", j, cls)
+			}
+		}
+	}
+}
+
+// TestAppendMatchesWholeCapture: capturing a prefix and the rest of a
+// test set separately and appending must give the whole set's matrix,
+// wherever the split falls relative to the 64-pattern batches.
+func TestAppendMatchesWholeCapture(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	c := gen.Profiles["s298"].MustGenerate(3)
+	view := netlist.NewScanView(c)
+	faults := fault.Collapse(c).Faults
+	tests := pattern.NewSet(view.NumInputs())
+	for i := 0; i < 150; i++ {
+		tests.Add(pattern.Random(r, view.NumInputs()))
+	}
+	whole := mustBuild(t, view, faults, tests)
+	for _, k := range []int{0, 37, 64, 150} {
+		head, tail := pattern.NewSet(tests.Width), pattern.NewSet(tests.Width)
+		head.Vecs, tail.Vecs = tests.Vecs[:k], tests.Vecs[k:]
+		sameMatrix(t, mustBuild(t, view, faults, head).Append(mustBuild(t, view, faults, tail)), whole)
+	}
+}

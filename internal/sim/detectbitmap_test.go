@@ -13,12 +13,12 @@ func TestDetectBitmapsTranspose(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		nf := 1 + r.Intn(150) // crosses the 64-fault word boundary
 		count := 1 + r.Intn(64)
-		effects := make([]Effect, nf)
-		for i := range effects {
+		detect := make([]uint64, nf)
+		for i := range detect {
 			// Set bits beyond count too: the transpose must mask them out.
-			effects[i].Detect = r.Uint64()
+			detect[i] = r.Uint64()
 		}
-		out := DetectBitmaps(effects, count)
+		out := DetectBitmaps(detect, count)
 		if len(out) != count {
 			t.Fatalf("trial %d: %d pattern rows, want %d", trial, len(out), count)
 		}
@@ -29,7 +29,7 @@ func TestDetectBitmapsTranspose(t *testing.T) {
 			}
 			for i := 0; i < nf; i++ {
 				got := out[p][i>>6]>>(uint(i)&63)&1 == 1
-				want := effects[i].Detect>>uint(p)&1 == 1
+				want := detect[i]>>uint(p)&1 == 1
 				if got != want {
 					t.Fatalf("trial %d pattern %d fault %d: bit %v, want %v", trial, p, i, got, want)
 				}

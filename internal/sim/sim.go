@@ -1,11 +1,13 @@
 // Package sim implements bit-parallel logic and fault simulation on the
-// full-scan view of a circuit: 64 test patterns are evaluated per pass, and
-// faults are simulated one at a time with event-driven forward propagation
-// from the fault site (parallel-pattern single-fault propagation, PPSFP).
+// full-scan view of a circuit: 64 test patterns are evaluated per pass.
+// A fault sweep (Sweep) runs one event-driven forward propagation per
+// fanout-free-region root and traces each fault to its root within the
+// region (parallel-pattern simulation with FFR reduction, ffr.go);
+// Propagate simulates a single fault from its site (parallel-pattern
+// single-fault propagation, PPSFP) and is the per-fault reference.
 package sim
 
 import (
-	"context"
 	"fmt"
 	"math/bits"
 
@@ -24,6 +26,17 @@ type Simulator struct {
 	c    *netlist.Circuit
 	good []logic.Word // good value per gate for the current batch
 	mask uint64       // valid-pattern mask of the current batch
+
+	// Fault-sweep state, built on first use (regions): the region
+	// structure, shared with forks, and a per-batch memo of pathSens,
+	// valid while sensAt matches epoch, which advances with every
+	// applied batch.
+	ffr     *ffr
+	sens    []logic.Word
+	sensAt  []uint32
+	epoch   uint32
+	pathBuf []int32
+	obsMark []uint64 // output slots a root flip reached, as a bitset
 
 	// Faulty-machine scratch state, valid while stamp matches.
 	faulty  []logic.Word
@@ -71,9 +84,16 @@ func New(view *netlist.ScanView) *Simulator {
 // would produce, in any interleaving.
 func (s *Simulator) Fork() *Simulator {
 	ns := New(s.View)
-	copy(ns.good, s.good)
-	ns.mask = s.mask
+	ns.ffr = s.ffr
+	ns.load(s)
 	return ns
+}
+
+// load copies the applied batch of s, a simulator over the same view.
+func (s *Simulator) load(from *Simulator) {
+	copy(s.good, from.good)
+	s.mask = from.mask
+	s.epoch++
 }
 
 // EvalWords computes the output word of a gate of type t from its fanin
@@ -136,6 +156,7 @@ func (s *Simulator) Apply(b *pattern.Batch) {
 		panic(fmt.Sprintf("sim: batch width %d != %d inputs", len(b.Words), s.View.NumInputs()))
 	}
 	s.mask = b.Mask()
+	s.epoch++
 	for i, g := range s.View.Inputs {
 		s.good[g] = b.Words[i]
 	}
@@ -215,7 +236,9 @@ func (s *Simulator) enqueueFanout(g int32) {
 }
 
 // Propagate simulates fault f against the current batch and returns its
-// observable effect. Apply must have been called first.
+// observable effect. Apply must have been called first. It is the
+// per-fault reference Sweep is tested against, and the single-fault path
+// of two-phase diagnosis.
 func (s *Simulator) Propagate(f fault.Fault) Effect {
 	s.current++
 	forced := logic.Word(0)
@@ -280,17 +303,17 @@ func (s *Simulator) Propagate(f fault.Fault) Effect {
 	return eff
 }
 
-// DetectBitmaps transposes the per-fault Detect words of a batch's effect
-// list into per-pattern fault bitmaps: out[p] is a packed bitset over the
-// fault indices, with bit i set exactly when effects[i].Detect has pattern
-// bit p set. count is the number of valid patterns in the batch (out has
-// that length). The transpose costs O(faults + total detections) and lets
+// DetectBitmaps transposes the per-fault detect words of a batch into
+// per-pattern fault bitmaps: out[p] is a packed bitset over the fault
+// indices, with bit i set exactly when detect[i] has pattern bit p set.
+// count is the number of valid patterns in the batch (out has that
+// length). The transpose costs O(faults + total detections) and lets
 // a consumer walk each pattern's detected faults in ascending index order
 // by trailing-zero iteration, instead of re-deriving detection per
 // (pattern, fault) pair. The bitmaps are per-batch scratch: response
 // capture keeps only the class rows they help build.
-func DetectBitmaps(effects []Effect, count int) [][]uint64 {
-	words := (len(effects) + 63) / 64
+func DetectBitmaps(detect []uint64, count int) [][]uint64 {
+	words := (len(detect) + 63) / 64
 	out := make([][]uint64, count)
 	store := make([]uint64, count*words) // one backing array, contiguous
 	for p := range out {
@@ -300,8 +323,8 @@ func DetectBitmaps(effects []Effect, count int) [][]uint64 {
 	if count == 64 {
 		mask = ^uint64(0)
 	}
-	for i := range effects {
-		det := effects[i].Detect & mask
+	for i := range detect {
+		det := detect[i] & mask
 		w, bit := i/64, uint64(1)<<(uint(i)%64)
 		for det != 0 {
 			p := bits.TrailingZeros64(det)
@@ -310,21 +333,6 @@ func DetectBitmaps(effects []Effect, count int) [][]uint64 {
 		}
 	}
 	return out
-}
-
-// ForEachFault simulates every fault against the current batch, calling fn
-// with each fault's index and observable effect. The context is honoured at
-// fault granularity: on cancellation the sweep stops and ctx.Err() is
-// returned; faults already reported to fn stand. Apply must have been
-// called first.
-func (s *Simulator) ForEachFault(ctx context.Context, faults []fault.Fault, fn func(i int, eff Effect)) error {
-	for i, f := range faults {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		fn(i, s.Propagate(f))
-	}
-	return nil
 }
 
 func (s *Simulator) faultyDiffers(g int32, forced logic.Word) bool {
