@@ -222,9 +222,13 @@ func run(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		if err := art.Save(*publish); err != nil {
-			return err
+		// The write dictio.(*Artifact).Save makes, keeping its WriteStat
+		// for the trace.
+		pub, err := core.AtomicWriteFileStat(*publish, art.Encode)
+		if err != nil {
+			return fmt.Errorf("publishing %s: %w", *publish, err)
 		}
+		sess.Observer.Emit("publish", map[string]any{"bytes": pub.Bytes, "recycled": pub.Recycled})
 		fmt.Printf("dictionary artifact published to %s (format v%d, checksum %08x)\n",
 			*publish, dictio.FormatVersion, art.Checksum)
 	}

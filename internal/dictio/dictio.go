@@ -24,7 +24,10 @@
 // publish leaves the previous artifact (or nothing) at the destination,
 // never a torn file. The CRCs exist for the failure modes atomic
 // rename cannot exclude: storage bit rot, partial copies between
-// machines, and non-atomic transports.
+// machines, non-atomic transports, and a reader that holds one handle
+// across two publishes to the same path, whose file the second publish
+// rewrites (core.AtomicWriteFileStat recycles the file a publish
+// displaces).
 package dictio
 
 import (

@@ -238,6 +238,100 @@ func TestTornPublishLeavesNoArtifact(t *testing.T) {
 	if _, err := dictio.Load(path); err != nil {
 		t.Fatalf("previous artifact no longer loads after torn re-publish: %v", err)
 	}
+
+	// A second good publish leaves the first artifact's file as the
+	// spare; a torn publish claims it and rewrites it in place. The
+	// failure must drop it, leave the previous artifact loadable, and
+	// let the next publish go through.
+	if err := a.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	spare := filepath.Join(filepath.Dir(path), ".toy.sdda.spare")
+	if _, err := os.Stat(spare); err != nil {
+		t.Fatalf("second publish kept no spare: %v", err)
+	}
+	err = core.AtomicWriteFile(path, func(w io.Writer) error {
+		return a.Encode(faultfs.Torn(w, 20))
+	})
+	if !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("torn publish through the spare: err = %v, want ErrInjected", err)
+	}
+	if _, err := os.Stat(spare); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("torn publish did not claim the spare: stat err = %v", err)
+	}
+	if _, err := dictio.Load(path); err != nil {
+		t.Fatalf("previous artifact no longer loads after torn publish through the spare: %v", err)
+	}
+	if err := a.Save(path); err != nil {
+		t.Fatalf("publish after a torn one: %v", err)
+	}
+	if _, err := dictio.Load(path); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReadAcrossRecycledPublishes pins the reader caveat of the
+// recycling publish: a handle held open across two publishes ends up on
+// the file the second one rewrote. A read that mixes the two artifacts
+// must fail as ErrCorruptArtifact unless its bytes are one whole
+// published artifact; it never decodes into a third dictionary.
+func TestReadAcrossRecycledPublishes(t *testing.T) {
+	first := testArtifact(t)
+	later := testArtifact(t)
+	later.Header.Circuit = "a later toy with a longer name"
+	encFirst, encLater := encode(t, first), encode(t, later)
+	mixed := 0
+	path := filepath.Join(t.TempDir(), "toy.sdda")
+	for k := 0; k < len(encFirst); k += len(encFirst)/16 + 1 {
+		if err := first.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		head := make([]byte, k)
+		if _, err := io.ReadFull(f, head); err != nil {
+			t.Fatal(err)
+		}
+		if err := first.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		if err := later.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		held, err := f.Stat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !os.SameFile(held, cur) {
+			t.Fatal("the second publish did not recycle the held file")
+		}
+		rest, err := io.ReadAll(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		read := append(head, rest...)
+		_, err = dictio.Decode(bytes.NewReader(read))
+		switch {
+		case bytes.Equal(read, encFirst) || bytes.Equal(read, encLater):
+			if err != nil {
+				t.Fatalf("read split at byte %d is a whole artifact, yet: %v", k, err)
+			}
+		case !errors.Is(err, dictio.ErrCorruptArtifact):
+			t.Fatalf("read split at byte %d mixes two artifacts: err = %v, want ErrCorruptArtifact", k, err)
+		default:
+			mixed++
+		}
+	}
+	if mixed == 0 {
+		t.Fatal("no split mixed the two artifacts")
+	}
 }
 
 // TestTornTailDetected writes only a prefix of the encoding directly to

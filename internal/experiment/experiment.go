@@ -17,7 +17,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"os"
 	"runtime/debug"
 	"time"
 
@@ -375,7 +374,7 @@ func BuildRowCtx(ctx context.Context, pr *Prepared, tt TestSetType, cfg Config) 
 		row.Status = RowInterrupted
 	} else if cfg.CheckpointPath != "" {
 		// Clean completion: the checkpoint is stale state now.
-		os.Remove(cfg.CheckpointPath)
+		core.RemoveAtomicFile(cfg.CheckpointPath)
 	}
 	row.Elapsed = time.Since(start)
 	if saveErr != nil {

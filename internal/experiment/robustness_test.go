@@ -96,11 +96,13 @@ func TestPrepareCtxCancelled(t *testing.T) {
 }
 
 // TestBuildRowCheckpointLifecycle: with CheckpointPath set, a completed
-// build leaves no checkpoint file behind, and an interrupted one leaves a
-// checkpoint that a rerun of the same configuration resumes from.
+// build leaves no checkpoint file (nor the spare its rewrites kept)
+// behind, and an interrupted one leaves a checkpoint that a rerun of the
+// same configuration resumes from.
 func TestBuildRowCheckpointLifecycle(t *testing.T) {
 	pr := prepareSmall(t)
-	path := filepath.Join(t.TempDir(), "row.ckpt")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "row.ckpt")
 	cfg := Config{Seed: 7, CheckpointPath: path}
 
 	// Interrupted run: the checkpoint must survive.
@@ -130,6 +132,12 @@ func TestBuildRowCheckpointLifecycle(t *testing.T) {
 	}
 	if fileExists(path) {
 		t.Errorf("checkpoint file survives a completed build")
+	}
+	if row.BuildStats.Restarts < 2 {
+		t.Fatalf("%d restarts: too few checkpoint writes to keep a spare", row.BuildStats.Restarts)
+	}
+	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+		t.Errorf("completed build left %v behind (err %v)", left, err)
 	}
 }
 

@@ -29,7 +29,9 @@ func workerSide(typ string) bool { return typ == "restart_start" || typ == "row_
 // resp_build is emitted when response capture starts, so the gap ending
 // at it is synthesis, fault collapsing and test generation; the gap
 // ending at build_start is response capture and the full-dictionary
-// floor.
+// floor. publish is emitted once sdd has written its artifact, so the
+// gap ending at it is scoring the dictionaries for the report,
+// compiling the artifact and the write itself.
 func phaseOf(typ string) string {
 	switch typ {
 	case "resp_build":
@@ -46,6 +48,8 @@ func phaseOf(typ string) string {
 		return "checkpointing"
 	case "build_end", "row_end":
 		return "finish"
+	case "publish":
+		return "publish"
 	default:
 		return "other"
 	}
@@ -55,7 +59,7 @@ func phaseOf(typ string) string {
 // order, then the catch-all.
 var phaseOrder = []string{
 	"test generation", "response capture", "setup", "restart search",
-	"procedure 2", "checkpointing", "finish", "other",
+	"procedure 2", "checkpointing", "finish", "publish", "other",
 }
 
 // PhaseSpan is the wall-clock total attributed to one phase.

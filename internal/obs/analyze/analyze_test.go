@@ -53,6 +53,40 @@ func buildTrace(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
+// TestAnalyzePublishPhase: the gap ending at sdd's publish event is
+// its own phase, rendered after the build's.
+func TestAnalyzePublishPhase(t *testing.T) {
+	var buf bytes.Buffer
+	now := time.Unix(0, 0)
+	tr := obs.NewTracer(&buf, func() time.Time { return now })
+	at := func(ms int64) { now = time.Unix(0, 0).Add(time.Duration(ms) * time.Millisecond) }
+	at(10)
+	tr.Emit("resp_build", map[string]any{"faults": 5, "tests": 2})
+	at(20)
+	tr.Emit("build_start", map[string]any{"schema": obs.TraceSchemaVersion, "faults": 5, "tests": 2})
+	at(50)
+	tr.Emit("build_end", map[string]any{"indist": 1, "restarts": 1, "interrupted": false})
+	at(135)
+	tr.Emit("publish", map[string]any{"bytes": 10323, "recycled": true})
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	run, err := ReadRun(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, p := range run.Phases {
+		names = append(names, p.Phase)
+		if p.Phase == "publish" && (p.Ms != 85 || p.Events != 1) {
+			t.Errorf("publish phase = %+v, want 85 ms over 1 event", p)
+		}
+	}
+	if got := strings.Join(names, ","); !strings.HasSuffix(got, "finish,publish") {
+		t.Errorf("phases %s, want publish rendered after finish", got)
+	}
+}
+
 func TestAnalyzeTimeline(t *testing.T) {
 	run, err := ReadRun(bytes.NewReader(buildTrace(t)))
 	if err != nil {
