@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt lint lint-fix-check fuzz bench bench-compare chaos check clean
+.PHONY: build test race vet fmt lint lint-fix-check fuzz bench bench-compare table6 chaos check clean
 
 build:
 	$(GO) build ./...
@@ -88,6 +88,28 @@ bench-compare:
 	$(GO) run ./cmd/benchjson -o bench_compare.json bench_compare.out
 	$(GO) run ./cmd/benchjson compare -ns-ratio 8 BENCH_parallel.json bench_compare.json
 	@rm -f bench_compare.out bench_compare.json
+
+# Table 6 regression golden: rerun the whole sweep (`table6 -workers 1
+# -v`: every circuit, both test-set types, seed 1) and diff its stdout
+# plus the -v stderr lines, per-row elapsed times stripped, against the
+# committed golden. Every cell and counter in it is deterministic, so a
+# re-baseline's per-row evidence is this diff; to accept one, copy the
+# kept regenerated file over the golden. Wall time is printed, not gated.
+TABLE6_GOLDEN = testdata/table6.golden
+
+table6:
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/table6" ./cmd/table6 || exit 1; \
+	start=$$(date +%s%N); \
+	"$$dir/table6" -workers 1 -v > "$$dir/stdout" 2> "$$dir/stderr" || { cat "$$dir/stderr"; exit 1; }; \
+	echo "table6: sweep wall time $$(( ($$(date +%s%N) - start) / 1000000 )) ms"; \
+	got="$$(mktemp)"; \
+	{ cat "$$dir/stdout"; sed 's/ elapsed=[^ ]*$$//' "$$dir/stderr"; } > "$$got"; \
+	if diff -u $(TABLE6_GOLDEN) "$$got"; then \
+		rm -f "$$got"; echo "table6: output matches $(TABLE6_GOLDEN)"; \
+	else \
+		echo "table6: output differs from $(TABLE6_GOLDEN); regenerated file kept at $$got"; exit 1; \
+	fi
 
 # Fault-injection and chaos suite (DESIGN.md §12, §15, §16) under the
 # race detector: artifact corruption matrices, the faultfs seam, the
