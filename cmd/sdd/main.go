@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	sdd -circuit s298 [-tests diag|10det] [-seed N] [-effort 0..1]
+//	sdd -circuit s298 [-tests diag|10det] [-seed N]
 //	sdd -bench path/to/circuit.bench [-tests diag|10det]
 //	sdd -list
 //
@@ -53,7 +53,6 @@ func run(ctx context.Context) error {
 		benchPath = flag.String("bench", "", "ISCAS-89 .bench netlist to load instead of a profile")
 		tests     = flag.String("tests", "diag", `test-set type: "diag" or "10det"`)
 		seed      = flag.Int64("seed", 1, "master random seed")
-		effort    = flag.Float64("effort", 0, "search effort in (0,1]; 0 = auto-scale")
 		list      = flag.Bool("list", false, "list available circuit profiles and exit")
 		saveDict  = flag.String("save-dict", "", "write the compiled same/different dictionary to this file")
 		publish   = flag.String("publish", "", "write a versioned, checksummed dictionary artifact (cmd/sddserve input) to this file")
@@ -90,8 +89,7 @@ func run(ctx context.Context) error {
 	}
 
 	var pr *experiment.Prepared
-	cfg := experiment.Config{Seed: *seed, Effort: *effort, CheckpointPath: *ckpt, Workers: *workers,
-		Obs: sess.Observer}
+	cfg := experiment.Config{Seed: *seed, CheckpointPath: *ckpt, Workers: *workers, Obs: sess.Observer}
 	switch {
 	case *benchPath != "":
 		f, ferr := os.Open(*benchPath)

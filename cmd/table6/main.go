@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	table6 [-circuits s208,s298,...] [-seed N] [-effort 0..1] [-workers N] [-v]
+//	table6 [-circuits s208,s298,...] [-seed N] [-workers N] [-v]
 //	table6 -checkpoint-dir ./ckpt     # survive kills: rerun to resume
 //
 // Rows run concurrently (-workers, default one per CPU) but render in a
@@ -52,7 +52,6 @@ func run(ctx context.Context) error {
 		circuits = flag.String("circuits", strings.Join(gen.Table6Circuits, ","),
 			"comma-separated circuit profiles to run")
 		seed     = flag.Int64("seed", 1, "master random seed")
-		effort   = flag.Float64("effort", 0, "search effort in (0,1]; 0 = auto-scale by circuit size")
 		verbose  = flag.Bool("v", false, "print per-row generation details")
 		ckptDir  = flag.String("checkpoint-dir", "", "persist/resume per-row dictionary-search state in this directory")
 		workers  = flag.Int("workers", 0, "sweep rows to run concurrently (0 = one per CPU); results are identical at any setting")
@@ -112,7 +111,7 @@ it improves on Procedure 1 (the paper omits it otherwise).`)
 			continue
 		}
 		for _, tt := range []experiment.TestSetType{experiment.Diagnostic, experiment.TenDetect} {
-			cfg := experiment.Config{Seed: *seed, Effort: *effort, Workers: innerWorkers}
+			cfg := experiment.Config{Seed: *seed, Workers: innerWorkers}
 			if *ckptDir != "" {
 				cfg.CheckpointPath = filepath.Join(*ckptDir, fmt.Sprintf("%s-%s.ckpt", name, tt))
 			}

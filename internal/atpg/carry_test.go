@@ -62,7 +62,6 @@ func TestCarriedProofsMatchFreshSolves(t *testing.T) {
 			}
 			dcfg := DefaultDiagConfig()
 			dcfg.Seed = 4
-			dcfg.MaxMiterCalls = 3000
 			dcfg.SATConflictBudget = budget
 			want, _, wantStats := GenerateDiagnosticCtx(context.Background(), comb, faults, base, nil, dcfg)
 			got, _, gotStats := GenerateDiagnosticCtx(context.Background(), comb, faults, base, satProofs, dcfg)
@@ -141,7 +140,6 @@ func TestCarriedBudgetOutsMatchFreshSolves(t *testing.T) {
 			}
 			dcfg := DefaultDiagConfig()
 			dcfg.Seed = 4
-			dcfg.MaxMiterCalls = 3000
 			dcfg.SATConflictBudget = budget
 			want, _, wantStats := GenerateDiagnosticCtx(context.Background(), comb, faults, base, proofs, dcfg)
 			got, _, gotStats := GenerateDiagnosticCtx(context.Background(), comb, faults, base, st.Verdicts, dcfg)

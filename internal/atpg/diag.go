@@ -19,14 +19,6 @@ type DiagConfig struct {
 	Seed int64
 	// MaxRounds bounds the refine/distinguish iterations.
 	MaxRounds int
-	// PairAttemptsPerGroup caps distinguishing attempts per response group
-	// per round.
-	PairAttemptsPerGroup int
-	// MaxMiterCalls caps total pair attempts (0 = unlimited).
-	MaxMiterCalls int
-	// MaxRandomBatches caps the 64-pattern random batches of the cheap
-	// random distinguishing phase that precedes the pair attempts.
-	MaxRandomBatches int
 	// UselessBatchLimit stops the random phase after this many consecutive
 	// batches that split no group.
 	UselessBatchLimit int
@@ -43,15 +35,17 @@ type DiagConfig struct {
 	Workers int
 }
 
+// pairAttemptsPerGroup caps the distinguishing attempts per response
+// group per round of diagnostic generation.
+const pairAttemptsPerGroup = 3
+
 // DefaultDiagConfig returns a reasonable diagnostic-generation setup.
 func DefaultDiagConfig() DiagConfig {
 	return DiagConfig{
-		MaxRounds:            80,
-		PairAttemptsPerGroup: 3,
-		MaxRandomBatches:     400,
-		UselessBatchLimit:    12,
-		SATConflictBudget:    8000,
-		MaxSATCalls:          100,
+		MaxRounds:         80,
+		UselessBatchLimit: 12,
+		SATConflictBudget: 8000,
+		MaxSATCalls:       100,
 	}
 }
 
@@ -214,9 +208,6 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 		return pairKey{a, b}
 	}
 
-	budget := func() bool {
-		return cfg.MaxMiterCalls == 0 || stats.MiterCalls < cfg.MaxMiterCalls
-	}
 	// satOpen reports whether SAT may still be called: it is enabled, under
 	// its call cap, and not closed by 5 consecutive budget-outs (the
 	// circuit's proofs are too hard for the budget).
@@ -233,7 +224,7 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 	randomPhase := func(patience int) {
 		useless := 0
 		row := make([]int32, len(faults))
-		for b := 0; b < cfg.MaxRandomBatches && useless < patience && p.Pairs() > 0; b++ {
+		for b := 0; b < maxRandomBatches && useless < patience && p.Pairs() > 0; b++ {
 			if ctx.Err() != nil {
 				stats.Interrupted = true
 				return
@@ -354,7 +345,7 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 		stats.AddedTests += fresh.Len()
 	}
 
-	for round := 0; round < cfg.MaxRounds && budget() && !stats.Interrupted; round++ {
+	for round := 0; round < cfg.MaxRounds && !stats.Interrupted; round++ {
 		if ctx.Err() != nil {
 			stats.Interrupted = true
 			break
@@ -368,8 +359,8 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 			// Try pairs within the group until one succeeds or the budget
 			// for this group is spent.
 		pairLoop:
-			for ai := 0; ai < len(members) && attempts < cfg.PairAttemptsPerGroup; ai++ {
-				for bi := ai + 1; bi < len(members) && attempts < cfg.PairAttemptsPerGroup; bi++ {
+			for ai := 0; ai < len(members) && attempts < pairAttemptsPerGroup; ai++ {
+				for bi := ai + 1; bi < len(members) && attempts < pairAttemptsPerGroup; bi++ {
 					a, b := members[ai], members[bi]
 					if _, done := unresolvable[mkKey(a, b)]; done {
 						continue
@@ -380,9 +371,6 @@ func GenerateDiagnosticCtx(ctx context.Context, c *netlist.Circuit, faults []fau
 						unresolvable[mkKey(a, b)] = true
 						stats.Equivalent++
 						continue
-					}
-					if !budget() {
-						break pairLoop
 					}
 					if ctx.Err() != nil {
 						stats.Interrupted = true

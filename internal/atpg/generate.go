@@ -20,13 +20,9 @@ type Config struct {
 	NDetect int
 	// BacktrackLimit is the per-fault PODEM backtrack budget.
 	BacktrackLimit int
-	// MaxRandomBatches caps the 64-pattern random batches tried.
-	MaxRandomBatches int
 	// UselessBatchLimit stops the random phase after this many consecutive
 	// batches that contributed no kept pattern.
 	UselessBatchLimit int
-	// TopUpRounds bounds the deterministic top-up sweeps.
-	TopUpRounds int
 	// Compact runs reverse-order fault-simulation compaction on the result
 	// (only meaningful for NDetect == 1).
 	Compact bool
@@ -36,15 +32,20 @@ type Config struct {
 	SATConflictBudget int64
 }
 
+// maxRandomBatches caps the 64-pattern random batches of every random
+// phase: detection's, and diagnostic generation's opening and closing ones.
+const maxRandomBatches = 400
+
+// topUpRounds bounds the deterministic top-up sweeps of detection.
+const topUpRounds = 6
+
 // DefaultConfig returns a reasonable configuration for n-detection
 // generation.
 func DefaultConfig(nDetect int) Config {
 	return Config{
 		NDetect:           nDetect,
 		BacktrackLimit:    300,
-		MaxRandomBatches:  400,
 		UselessBatchLimit: 8,
-		TopUpRounds:       6,
 		SATConflictBudget: 5000,
 	}
 }
@@ -196,7 +197,7 @@ func GenerateDetectionCtx(ctx context.Context, c *netlist.Circuit, faults []faul
 
 	// Random phase.
 	useless := 0
-	for b := 0; b < cfg.MaxRandomBatches && useless < cfg.UselessBatchLimit; b++ {
+	for b := 0; b < maxRandomBatches && useless < cfg.UselessBatchLimit; b++ {
 		if ctx.Err() != nil {
 			stats.Interrupted = true
 			break
@@ -227,7 +228,7 @@ func GenerateDetectionCtx(ctx context.Context, c *netlist.Circuit, faults []faul
 	for _, v := range tests.Vecs {
 		seen[v.Key()] = true
 	}
-	for round := 0; round < cfg.TopUpRounds; round++ {
+	for round := 0; round < topUpRounds; round++ {
 		pending := active()
 		if len(pending) == 0 {
 			break

@@ -295,7 +295,6 @@ func TestSATModelsResimulate(t *testing.T) {
 		base, st := GenerateDetectionCtx(context.Background(), comb, faults, cfg)
 		dcfg := DefaultDiagConfig()
 		dcfg.Seed = 4
-		dcfg.MaxMiterCalls = 3000
 		_, _, dst := GenerateDiagnosticCtx(context.Background(), comb, faults, base, nil, dcfg)
 		if st.ModelMismatches != 0 || dst.ModelMismatches != 0 {
 			t.Errorf("%s: %d detection and %d diagnostic SAT models failed re-simulation", name, st.ModelMismatches, dst.ModelMismatches)
@@ -321,7 +320,6 @@ func TestSATConflictsS298Diag(t *testing.T) {
 	base, st := GenerateDetectionCtx(context.Background(), comb, faults, cfg)
 	dcfg := DefaultDiagConfig()
 	dcfg.Seed = 4
-	dcfg.MaxMiterCalls = 3000
 	_, _, dst := GenerateDiagnosticCtx(context.Background(), comb, faults, base, nil, dcfg)
 	if dst.SATCalls == 0 {
 		t.Fatal("no SAT call ran; the bound measured nothing")

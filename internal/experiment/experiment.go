@@ -103,13 +103,12 @@ const (
 	RowInterrupted RowStatus = "interrupted"
 )
 
-// Config bundles the per-row knobs. Zero values are replaced by defaults
-// scaled to the circuit size.
+// Config bundles the per-row knobs. Test generation and the dictionary
+// search run with the same settings on every circuit (atpg's defaults and
+// core.DefaultOptions), as the paper runs Procedure 1 with one LOWER and
+// one CALLS1 throughout.
 type Config struct {
 	Seed int64
-	// Effort in [0,1] scales the expensive knobs (Procedure 1 restarts,
-	// miter budgets) down for large circuits. 1 = paper-faithful effort.
-	Effort float64
 	// Workers bounds the parallelism inside one row: the response-matrix
 	// fault sweeps (diagnostic test generation's included) and the
 	// Procedure 1 restart search all fan out across this many workers
@@ -175,43 +174,6 @@ type Prepared struct {
 	GenInfo string
 }
 
-// scaled returns the dictionary search options and the diagnostic test
-// generation settings for a circuit of the given gate count; seeds and
-// worker counts are left to the caller. An effort <= 0 is replaced by the
-// default for the size: full effort for small circuits, reduced for the
-// big ones so a Table-6 sweep stays tractable on one core.
-func scaled(gates int, effort float64) (core.Options, atpg.DiagConfig) {
-	if effort <= 0 {
-		switch {
-		case gates <= 700:
-			effort = 1
-		case gates <= 3000:
-			effort = 0.35
-		default:
-			effort = 0.12
-		}
-	}
-	opt := core.DefaultOptions
-	opt.Calls1 = max(2, int(float64(opt.Calls1)*effort))
-	opt.MaxRestarts = max(4, int(float64(opt.MaxRestarts)*effort))
-	gcfg := atpg.DefaultDiagConfig()
-	gcfg.MaxMiterCalls = max(200, int(3000*effort))
-	// Large circuits: SAT rarely closes the hardest pairs, so spend the
-	// budget on random distinguishing patience instead.
-	switch {
-	case gates > 3000:
-		gcfg.UselessBatchLimit = 30
-		gcfg.MaxMiterCalls = 250
-		gcfg.SATConflictBudget = 3000
-		gcfg.MaxSATCalls = 30
-	case gates > 700:
-		gcfg.UselessBatchLimit = 20
-		gcfg.SATConflictBudget = 8000
-		gcfg.MaxSATCalls = 40
-	}
-	return opt, gcfg
-}
-
 // PrepareProfileCtx synthesizes the named circuit profile and runs
 // PrepareCtx on it.
 func PrepareProfileCtx(ctx context.Context, name string, tt TestSetType, cfg Config) (pr *Prepared, err error) {
@@ -251,7 +213,13 @@ func PrepareCtx(ctx context.Context, c *netlist.Circuit, tt TestSetType, cfg Con
 		dcfg.Seed = cfg.Seed + 2
 		dcfg.Compact = true
 		base, st := atpg.GenerateDetectionCtx(ctx, comb, col.Faults, dcfg)
-		_, gcfg := scaled(comb.NumLogicGates(), cfg.Effort)
+		gcfg := atpg.DefaultDiagConfig()
+		if comb.NumLogicGates() > 3000 {
+			// s9234/diag needs the longer random patience: at the
+			// default it keeps one random test fewer and its full floor
+			// rises by one pair.
+			gcfg.UselessBatchLimit = 30
+		}
 		gcfg.Seed = cfg.Seed + 3
 		gcfg.Workers = cfg.Workers
 		set, m, dst := atpg.GenerateDiagnosticCtx(ctx, comb, col.Faults, base, st.Verdicts, gcfg)
@@ -317,7 +285,7 @@ func BuildRowCtx(ctx context.Context, pr *Prepared, tt TestSetType, cfg Config) 
 	}
 	defer recoverStage(StageDictionary, name, &err)
 	start := time.Now()
-	opts, _ := scaled(pr.Circuit.NumLogicGates(), cfg.Effort)
+	opts := core.DefaultOptions
 	opts.Seed = cfg.Seed + 4
 	opts.Workers = cfg.Workers
 	opts.Obs = cfg.Obs

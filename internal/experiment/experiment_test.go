@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"sddict/internal/atpg"
 	"sddict/internal/dictio"
 	"sddict/internal/gen"
 	"sddict/internal/netlist"
@@ -92,45 +91,9 @@ func TestPrepareUnknownInputs(t *testing.T) {
 	}
 }
 
-// TestScaled pins the size-scaled settings on both sides of each gate
-// threshold: the default effort's restart budgets and pair budget, and
-// the large-circuit SAT settings that replace the defaults above 700 and
-// above 3000 gates. An explicit effort is kept, and above 3000 gates the
-// pair budget no longer follows it.
-func TestScaled(t *testing.T) {
-	diag := func(miter, useless int, budget int64, maxSAT int) atpg.DiagConfig {
-		g := atpg.DefaultDiagConfig()
-		g.MaxMiterCalls = miter
-		g.UselessBatchLimit = useless
-		g.SATConflictBudget = budget
-		g.MaxSATCalls = maxSAT
-		return g
-	}
-	for _, tc := range []struct {
-		gates            int
-		effort           float64
-		calls1, restarts int
-		wantDiag         atpg.DiagConfig
-	}{
-		{700, 0, 100, 2000, diag(3000, 12, 8000, 100)},
-		{701, 0, 35, 700, diag(1050, 20, 8000, 40)},
-		{3000, 0, 35, 700, diag(1050, 20, 8000, 40)},
-		{3001, 0, 12, 240, diag(250, 30, 3000, 30)},
-		{100, 0.05, 5, 100, diag(200, 12, 8000, 100)},
-		{701, 0.5, 50, 1000, diag(1500, 20, 8000, 40)},
-		{3001, 1, 100, 2000, diag(250, 30, 3000, 30)},
-	} {
-		opt, gcfg := scaled(tc.gates, tc.effort)
-		if opt.Calls1 != tc.calls1 || opt.MaxRestarts != tc.restarts || gcfg != tc.wantDiag {
-			t.Errorf("scaled(%d, %v): Calls1 %d, MaxRestarts %d, %+v; want %d, %d, %+v",
-				tc.gates, tc.effort, opt.Calls1, opt.MaxRestarts, gcfg, tc.calls1, tc.restarts, tc.wantDiag)
-		}
-	}
-}
-
-// TestPrepareLargeCircuitPaths smoke-tests a circuit above the 700-gate
-// threshold end to end, under the settings TestScaled pins: both test-set
-// types prepare, and the diagnostic row builds.
+// TestPrepareLargeCircuitPaths smoke-tests s1423, the largest circuit the
+// tests run end to end: both test-set types prepare, and the
+// diagnostic row builds.
 func TestPrepareLargeCircuitPaths(t *testing.T) {
 	ctx := context.Background()
 	cfg := Config{Seed: 1}
@@ -144,9 +107,6 @@ func TestPrepareLargeCircuitPaths(t *testing.T) {
 	prd, err := PrepareProfileCtx(ctx, "s1423", Diagnostic, cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if gates := prd.Circuit.NumLogicGates(); gates <= 700 {
-		t.Fatalf("s1423 has %d gates, so this test no longer reaches the large-circuit settings", gates)
 	}
 	row, err := BuildRowCtx(ctx, prd, Diagnostic, cfg)
 	if err != nil {

@@ -37,7 +37,7 @@ func TestSddInterruptEndToEnd(t *testing.T) {
 	}
 
 	// The signal must land inside the restart phase, which lasts a few
-	// hundred milliseconds on s953 at full effort. The first restart_end
+	// hundred milliseconds on s953. The first restart_end
 	// in the trace marks a folded restart (so the final checkpoint_save is
 	// guaranteed), and each event is one durable append, so polling the
 	// file gives a reliable cue. If the build still finishes first, one
@@ -47,7 +47,7 @@ func TestSddInterruptEndToEnd(t *testing.T) {
 		metricsPath := filepath.Join(dir, "metrics.json")
 		os.Remove(tracePath)
 		cmd := exec.Command(bin,
-			"-circuit", "s953", "-tests", "diag", "-effort", "1", "-workers", "2",
+			"-circuit", "s953", "-tests", "diag", "-workers", "2",
 			"-checkpoint", filepath.Join(dir, "ckpt.json"),
 			"-trace-out", tracePath, "-metrics-out", metricsPath,
 		)
