@@ -9,7 +9,7 @@ import (
 )
 
 // RowSpec identifies one row of a Table 6 sweep together with its
-// per-row configuration (seed, effort, checkpoint path).
+// per-row configuration (seed, workers, checkpoint path).
 type RowSpec struct {
 	Circuit string
 	TType   TestSetType
